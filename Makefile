@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream
+.PHONY: check lint test inventory resilience stress obs backend dataplane service stream
 
 check:
 	bash scripts/check.sh
@@ -29,9 +29,6 @@ dataplane:
 
 service:
 	bash scripts/check.sh service
-
-fuse:
-	bash scripts/check.sh fuse
 
 stream:
 	bash scripts/check.sh stream

@@ -31,7 +31,6 @@ import time
 import pytest
 
 from repro.runtime import Runtime, task, wait_on
-from repro.runtime.config import RuntimeConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_scheduler.json"
@@ -160,66 +159,6 @@ def test_submit_latency_sequential():
         min=min(per_task_us),
         samples=per_task_us,
     )
-
-
-def test_fused_flood_throughput():
-    """Throughput of the same flood volume submitted as chained
-    ``submit_many`` batches with task fusion on: 250 chains of 8 noop
-    tasks collapse into 250 fused units, so 2000 tasks pay 250
-    ready-queue round trips.  The asserted bar is a throughput ratio
-    over ``many_small_tasks`` *from the same session* — an absolute
-    floor would drift with the host box.
-
-    On where the ratio lands: fusion removes the ready-queue round
-    trip, the worker wake-up and the per-call dispatch lock (~6-8 us
-    of a noop task's ~25 us), but every member still pays the shared
-    per-task floor — instance + future construction, dependency scan,
-    trace record, completion bookkeeping — which bounds the
-    achievable ratio near 1.5x on a GIL-serialized noop flood.  The
-    assertion is set well below the measured ~1.3-1.5x median because
-    CI boxes show large run-to-run variance; ``speedup_vs_unfused``
-    in BENCH_scheduler.json records the real measured ratio.
-
-    Runs after ``test_many_small_tasks_throughput`` (file order) so the
-    comparison metric is already recorded.
-    """
-    width = 250
-    depth = N_FLOOD // width
-    stats = {}
-
-    def run():
-        cfg = RuntimeConfig(executor="threads", max_workers=4, fusion=True)
-        with Runtime(config=cfg) as rt:
-            futs = rt.submit_many([_noop.defer(i) for i in range(width)])
-            for _ in range(depth - 1):
-                futs = rt.submit_many([_noop.defer(f) for f in futs])
-            out = wait_on(futs)
-            stats.update(rt.stats())
-        assert out == list(range(width))
-
-    samples = _timed(run)
-    best = min(samples)
-    sched = stats.get("scheduler", {})
-    _record(
-        "fused_flood",
-        unit="tasks/s",
-        tasks_per_s=N_FLOOD / best,
-        wall_s=best,
-        fused_units=sched.get("fused_units"),
-        fused_tasks=sched.get("fused_tasks"),
-        worker_parks=sched.get("worker_parks"),
-        samples=[N_FLOOD / s for s in samples],
-    )
-    assert sched.get("fused_tasks", 0) == N_FLOOD, sched
-    assert sched.get("fused_units", 0) == width, sched
-    baseline = _metrics.get("many_small_tasks", {}).get("tasks_per_s")
-    if baseline:
-        ratio = (N_FLOOD / best) / baseline
-        _metrics["fused_flood"]["speedup_vs_unfused"] = ratio
-        assert ratio >= 1.1, (
-            f"fused flood only {ratio:.2f}x over unfused flood "
-            f"({N_FLOOD / best:.0f} vs {baseline:.0f} tasks/s)"
-        )
 
 
 def test_dependency_chain_latency():

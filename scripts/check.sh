@@ -12,7 +12,6 @@
 #   scripts/check.sh obs         observability smoke (metrics/trace exports)
 #   scripts/check.sh dataplane   store tests + store-mode stress + pipe-bytes bench
 #   scripts/check.sh service     queue-service chaos smoke + queue-op latency bench
-#   scripts/check.sh fuse        fusion-on stress + fusion on/off bit-identity differential
 #   scripts/check.sh stream      streaming tests + stream stress + serving differential + latency bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,20 +47,6 @@ run_stress() {
     # family + a second mixed round); `make stress` runs 20 seeds.
     echo "== scheduler concurrency stress (fixed seeds) =="
     PYTHONPATH=src python -m repro stress --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
-}
-
-run_fuse() {
-    # The task-fusion pass: the randomized stress scenarios with
-    # fusion enabled (same reference checks, so any fusion-induced
-    # divergence fails the seed), then the deterministic differential
-    # that runs each seed's DAG fusion-off and fusion-on and requires
-    # bit-identical values and matching task counts.
-    echo "== stress with task fusion enabled (fixed seeds) =="
-    PYTHONPATH=src python -m repro stress --fuse \
-        --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
-    echo "== fusion on/off bit-identity differential =="
-    PYTHONPATH=src python -m repro stress --differential \
-        --seed 0 --seed 1 --seed 2 --seed 3
 }
 
 run_obs() {
@@ -113,19 +98,17 @@ run_dataplane() {
 run_stream() {
     # The hybrid streaming layer: channel/operator/graph semantics and
     # the runtime lifecycle edges (shutdown-drain, abort interrupts,
-    # fused pending-wait hook), the seeded streaming stress scenarios
+    # done-polling stages), the seeded streaming stress scenarios
     # (backpressure, RETRY mid-stream, abort, shutdown mid-flight; hang
-    # watchdog + zero-leak audits, fusion off and on), the streamed vs
+    # watchdog + zero-leak audits), the streamed vs
     # batch AF-serving bit-identity differential, and the throughput /
     # e2e-latency benchmark (writes BENCH_streaming.json).
     echo "== streaming tests (incl. serving differential) =="
     PYTHONPATH=src python -m pytest tests/streaming \
         tests/runtime/test_stream_shutdown.py -x -q
-    echo "== streaming stress (fixed seeds: one per scenario family, then fused) =="
+    echo "== streaming stress (fixed seeds: one per scenario family) =="
     PYTHONPATH=src python -m repro stress --stream \
         --seed 0 --seed 1 --seed 2 --seed 3 --seed 14
-    PYTHONPATH=src python -m repro stress --stream --fuse \
-        --seed 0 --seed 1 --seed 2 --seed 3
     echo "== streaming benchmark (throughput + e2e latency bounds) =="
     PYTHONPATH=src python -m pytest benchmarks/test_streaming.py -x -q
 }
@@ -153,8 +136,7 @@ case "$mode" in
     obs)        run_obs ;;
     dataplane)  run_dataplane ;;
     service)    run_service ;;
-    fuse)       run_fuse ;;
     stream)     run_stream ;;
-    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream]" >&2; exit 2 ;;
+    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|stream]" >&2; exit 2 ;;
 esac

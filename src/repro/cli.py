@@ -289,7 +289,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             seeds,
             workers=args.workers,
             timeout=args.timeout,
-            fusion=args.fuse,
             metrics=args.metrics,
         )
         failed = [r for r in reports if not r.ok]
@@ -304,17 +303,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         if enabled
     )
     seeds = args.seed if args.seed else range(args.seeds)
-    if args.differential:
-        reports = []
-        for seed in seeds:
-            report = stress.run_differential(
-                seed, n_ops=args.ops, workers=args.workers, timeout=args.timeout
-            )
-            reports.append(report)
-            print(report.line(), flush=True)
-        failed = [r for r in reports if not r.ok]
-        print(f"fusediff: {len(reports) - len(failed)}/{len(reports)} seeds passed")
-        return 1 if failed else 0
     reports = stress.run_suite(
         seeds,
         n_ops=args.ops,
@@ -323,7 +311,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         backend=args.backend,
         observability=observability,
         store=args.store,
-        fusion=args.fuse,
     )
     failed = [r for r in reports if not r.ok]
     print(f"stress: {len(reports) - len(failed)}/{len(reports)} seeds passed")
@@ -816,17 +803,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p6.add_argument(
         "--progress", action="store_true", help="live task progress on stderr"
-    )
-    p6.add_argument(
-        "--fuse",
-        action="store_true",
-        help="run every seed with the task-fusion pass enabled",
-    )
-    p6.add_argument(
-        "--differential",
-        action="store_true",
-        help="fusion bit-identity differential: each seed's deterministic "
-        "DAG runs twice (fusion off/on) and must match bit-for-bit",
     )
     p6.add_argument(
         "--stream",

@@ -80,35 +80,6 @@ def trace_to_chrome(trace: Trace, process_name: str = "repro-runtime") -> str:
         worker = rec.worker or (f"pid-{pid}" if pid != main_pid else "main")
         return pid, lanes[(pid, worker)]
 
-    # -- fused-unit envelopes ------------------------------------------
-    # Members of one fused unit executed back-to-back on a single
-    # worker; a synthetic complete event spanning min(t_start) ..
-    # max(t_end) on that lane makes the member spans nest visually
-    # under the unit in the viewer.
-    fused_groups: dict[int, list] = {}
-    for rec in trace:
-        if rec.fused_id is not None:
-            fused_groups.setdefault(rec.fused_id, []).append(rec)
-    for unit_id, members in sorted(fused_groups.items()):
-        t0 = min(r.t_start for r in members)
-        t1 = max(r.t_end for r in members)
-        pid, tid = lane_of(members[0])
-        events.append(
-            {
-                "name": f"fused[{len(members)}]#{unit_id}",
-                "cat": "fused",
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": t0 * 1e6,
-                "dur": max(t1 - t0, 1e-9) * 1e6,
-                "args": {
-                    "unit_id": unit_id,
-                    "members": [r.task_id for r in members],
-                },
-            }
-        )
-
     # -- spans, flows, instants ----------------------------------------
     flow_id = 0
     for rec in trace:

@@ -38,7 +38,6 @@ Environment variables (all optional):
 ``REPRO_STORE_SPILL_DIR``    directory of the spill tier
 ``REPRO_STORE_THRESHOLD_BYTES``  arrays below this size stay inline
 ``REPRO_LOCALITY``        ``1``/``0`` — locality-aware dispatch
-``REPRO_FUSION``          ``1``/``0`` — task-fusion optimizer pass
 ``REPRO_FLIGHTREC``       crash flight-recorder dump directory
                           (enables the recorder; see
                           :mod:`repro.runtime.flightrec`)
@@ -130,16 +129,6 @@ class RuntimeConfig:
     #: Prefer dispatching a task to the worker process already caching
     #: the largest share of its input bytes (process backend + store).
     locality: bool = True
-    #: Task-fusion optimizer pass (threads executor only): collapse
-    #: chains of small pure tasks — linear single-consumer chains and
-    #: element-wise map-map stages — into one scheduled unit whose
-    #: members run inline in topological order, skipping the ready
-    #: queue and its locking for every interior edge.  Fusion is
-    #: semantics-preserving (only pure tasks with no INOUT writes,
-    #: timeouts or FAIL/IGNORE failure policies are eligible) and fully
-    #: observable: each member keeps its own trace record, events and
-    #: metrics.  Off by default.
-    fusion: bool = False
     #: Directory for crash flight-recorder dumps.  When set, the
     #: runtime keeps a bounded in-memory ring of recent task events
     #: (:class:`~repro.runtime.flightrec.FlightRecorder`) and writes a
@@ -214,7 +203,6 @@ class RuntimeConfig:
         take("REPRO_STORE_SPILL_DIR", "store_spill_dir", str)
         take("REPRO_STORE_THRESHOLD_BYTES", "store_threshold_bytes", int)
         take("REPRO_LOCALITY", "locality", _parse_bool)
-        take("REPRO_FUSION", "fusion", _parse_bool)
         take("REPRO_FLIGHTREC", "flightrec_dir", str)
         metrics_raw = env.get("REPRO_METRICS")
         if metrics_raw is not None and metrics_raw != "":

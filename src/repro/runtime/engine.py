@@ -57,17 +57,14 @@ import logging
 import os
 import threading
 import time
-import warnings
-import weakref
 from typing import Any, Callable, Iterable
 
 from repro.runtime import checkpoint as ckpt
-from repro.runtime.backends import ThreadBackend, create_backend, current_attempt
+from repro.runtime.backends import create_backend
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.directions import Direction
 from repro.runtime.exceptions import (
-    NodeFailureError,
     RuntimeStateError,
     TaskExecutionError,
     TaskTimeoutError,
@@ -77,15 +74,12 @@ from repro.runtime.exceptions import (
 from repro.runtime.faults import on_task_execute as _fault_hook
 from repro.runtime.faults import worker_kill_requested as _worker_kill_hook
 from repro.runtime.failures import (
-    CANCEL_SUCCESSORS,
     FAIL,
     IGNORE,
-    RETRY,
     TaskOptions,
     resolve_options,
     retry_delay,
 )
-from repro.runtime import future as _future_module
 from repro.runtime.future import Future, resolve_futures, scan_futures
 from repro.runtime.model import (
     CANCELLED,
@@ -119,36 +113,6 @@ from repro.runtime.tracing import (
 _logger = logging.getLogger("repro.runtime")
 
 _tls = threading.local()
-
-#: Live runtimes by id.  Futures carry only their runtime's integer id
-#: (keeping them lightweight and pickle-friendly); this registry lets a
-#: blocking ``Future.result()``/``done`` read reach back to the owning
-#: engine.  Weak values: the registry must never keep a dropped or
-#: shut-down runtime alive.
-_live_runtimes: "weakref.WeakValueDictionary[int, Runtime]" = weakref.WeakValueDictionary()
-
-
-def _flush_fused_for_wait(runtime_id: int) -> None:
-    """Arm the buffered fused units of the runtime owning a future that
-    is being waited on (installed as ``future._pending_wait_hook``).
-
-    ``Future.result()`` and ``Future.done`` are otherwise pure
-    event/state reads that never enter the runtime, so
-    ``f = rt.submit(small_pure_task); f.result()`` — or a ``done``
-    polling loop — would strand the last-touched fused unit in
-    ``_fuse_pending`` forever: workers stay parked because the unit
-    never reaches the ready heap.  Waiting on *any* future of the
-    runtime is the signal that its submitter stopped extending chains
-    and needs results, exactly like the ``_help_until`` flush point.
-    Cheap when fusion is off or nothing is buffered: one weak-dict
-    lookup and an attribute truthiness check.
-    """
-    rt = _live_runtimes.get(runtime_id)
-    if rt is not None and rt._fuse_pending:
-        rt._flush_fused()
-
-
-_future_module._pending_wait_hook = _flush_fused_for_wait
 
 _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 
@@ -207,52 +171,6 @@ class Scope:
         self.runtime._help_until(lambda: self.pending == 0)
 
 
-#: Upper bound on members per fused unit.  Bounds both the latency of
-#: the deferred unit-end broadcast (waiters on an interior member's
-#: future wake at most one unit later) and the work lost when a member
-#: fails and the rest of the unit is demoted to individual scheduling.
-_FUSE_MAX = 64
-
-
-class FusedTask:
-    """A chain of fusable task instances scheduled as one unit.
-
-    Members execute inline, in submission (== topological) order, on
-    the thread that claims the unit from the ready queue; interior
-    futures resolve locally, so no interior edge ever pays a heap
-    push/pop, wakeup or completion broadcast.  Members stay ``PENDING``
-    until individually claimed (``claim_run``), which keeps the
-    run/cancel race arbitration identical to unfused tasks.
-
-    ``broken`` flips when a member fails mid-unit: ``_fail`` demotes
-    the not-yet-run members back to normal dependency-driven
-    scheduling *before* resubmitting the failed member, so the
-    executing loop stops and nothing runs twice.
-    """
-
-    __slots__ = ("unit_id", "members", "broken")
-
-    def __init__(self, head: TaskInstance) -> None:
-        #: The head member's task id names the unit (``fused_id`` in
-        #: trace records, ``fused`` node attribute in the DAG).
-        self.unit_id = head.task_id
-        self.members: list[TaskInstance] = [head]
-        self.broken = False
-
-
-class _FusedCompletion:
-    """Deferred completion side effects of one executing fused unit:
-    per-member DAG state stamps batch into one graph-lock acquisition
-    and the per-member completion broadcast collapses into a single
-    broadcast at unit end."""
-
-    __slots__ = ("attrs", "dirty")
-
-    def __init__(self) -> None:
-        self.attrs: list[tuple[int, dict]] = []
-        self.dirty = False
-
-
 class Runtime:
     """A task runtime instance.
 
@@ -270,8 +188,7 @@ class Runtime:
         submission time, which is deterministic and is what most unit
         tests use.  ``backend="processes"`` additionally dispatches
         task *bodies* to persistent worker processes
-        (:mod:`repro.runtime.backends`).  Passing these *positionally*
-        is deprecated.
+        (:mod:`repro.runtime.backends`).
     """
 
     _ids = 0
@@ -279,30 +196,13 @@ class Runtime:
 
     def __init__(
         self,
-        *deprecated_args: Any,
+        *,
         executor: str | None = None,
         max_workers: int | None = None,
         name: str | None = None,
         backend: str | None = None,
         config: RuntimeConfig | None = None,
     ):
-        if deprecated_args:
-            warnings.warn(
-                "positional Runtime(...) arguments are deprecated; use "
-                "keyword arguments or Runtime(config=RuntimeConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(deprecated_args) > 3:
-                raise TypeError("Runtime() takes at most 3 positional arguments")
-            slots = (executor, max_workers, name)
-            filled = list(slots[: len(deprecated_args)])
-            for i, value in enumerate(deprecated_args):
-                if filled[i] is not None:
-                    raise TypeError("Runtime() got the same argument positionally and by keyword")
-                filled[i] = value
-            executor, max_workers, name = (tuple(filled) + slots[len(deprecated_args):])[:3]
-
         cfg = config if config is not None else RuntimeConfig.from_env()
         overrides = {
             key: value
@@ -321,7 +221,6 @@ class Runtime:
         with Runtime._ids_lock:
             Runtime._ids += 1
             self.runtime_id = Runtime._ids
-        _live_runtimes[self.runtime_id] = self
         self.name = cfg.name
         self.executor = cfg.executor
         self.max_workers = cfg.max_workers or (os.cpu_count() or 4)
@@ -345,10 +244,6 @@ class Runtime:
             store=self.store if ref_transport else None,
             locality=cfg.locality,
         )
-        #: True when task bodies run on the calling thread with no
-        #: serialization boundary — the precondition for the fused
-        #: units' lean member loop (which calls bodies directly).
-        self._backend_inline = type(self._backend) is ThreadBackend
         self.graph = TaskGraph()
         self.registry = DataRegistry()
         self.collector = TraceCollector()
@@ -400,7 +295,7 @@ class Runtime:
         #: identity cache, signature table) — hashing itself runs
         #: outside every lock.
         self._sig_lock = threading.Lock()
-        #: ready heap: (-priority, seq, TaskInstance | FusedTask) —
+        #: ready heap: (-priority, seq, TaskInstance) —
         #: higher priority first, FIFO within a priority level (seq is
         #: unique, so the third slot never compares).  Guarded by
         #: ``_cond``.
@@ -412,17 +307,6 @@ class Runtime:
         self._shutdown = False
         self._threads: list[threading.Thread] = []
         self._timers: set[threading.Timer] = set()
-        # -- task fusion -----------------------------------------------
-        #: Fusion only applies to the pooled executor — the sequential
-        #: executor already runs every task inline at submission, so
-        #: there is no queue round trip to save.
-        self._fusion = cfg.fusion and cfg.executor == "threads"
-        #: Open (accumulating, not yet scheduled) fused units, keyed by
-        #: their *tail* member's root id so a submission depending on a
-        #: unit's tail finds and extends it in O(1).  Guarded by
-        #: ``_fuse_lock``; never held while acquiring ``_cond``.
-        self._fuse_pending: dict[int, FusedTask] = {}
-        self._fuse_lock = threading.Lock()
         #: Resolved-options cache keyed by the identity of the
         #: (spec options, call options) pair — floods of calls to the
         #: same task re-merge identical options thousands of times on
@@ -506,12 +390,6 @@ class Runtime:
                     hook()
                 except Exception:  # noqa: BLE001 - shutdown must proceed
                     _logger.exception("shutdown drain hook failed")
-        if self._fusion and not was_shutdown:
-            # Arm any still-buffered fused units so their members
-            # drain through the queue like ready tasks do — with
-            # ``wait=False`` the workers still empty the queue before
-            # exiting, so nothing is stranded PENDING.
-            self._flush_fused()
         if wait and not was_shutdown:
             self._help_until(lambda: self.unfinished == 0)
         with self._cond:
@@ -699,24 +577,20 @@ class Runtime:
         args: tuple[Any, ...],
         kwargs: dict[str, Any],
         options: TaskOptions | None = None,
-        label: str | None = None,
         initial_attempt: int = 0,
     ) -> Any:
         """Submit one task invocation; returns its future(s) (or None
         when the task declares no return values).
 
-        *options* carries call-site overrides (from ``my_task.opts(...)``);
-        *label* is a legacy shortcut kept for the deprecated
-        ``_task_label`` path.  *initial_attempt* seeds the attempt
-        counter — used by layers that own redelivery themselves (the
-        durable queue service re-submits a leased task with its
-        queue-level attempt number so ``current_attempt()`` inside the
-        body, retry backoff and the trace all see the true lineage
-        rather than restarting at zero).
+        *options* carries call-site overrides (from ``my_task.opts(...)``).
+        *initial_attempt* seeds the attempt counter — used by layers
+        that own redelivery themselves (the durable queue service
+        re-submits a leased task with its queue-level attempt number so
+        ``current_attempt()`` inside the body, retry backoff and the
+        trace all see the true lineage rather than restarting at zero).
         """
         self._check_accepting()
         resolved = self._resolve_options_cached(spec, options)
-        effective_label = label if label is not None else resolved.label
         scope = self._submission_scope()
 
         # -- phase 1 (no lock): argument scan ---------------------------
@@ -736,13 +610,13 @@ class Runtime:
             self._dep_lock.release()
 
         inst = self._build_instance(
-            spec, args, kwargs, deps, scope, effective_label, resolved, task_id
+            spec, args, kwargs, deps, scope, resolved.label, resolved, task_id
         )
         if initial_attempt:
             inst.attempt = initial_attempt
 
         # -- phases 3-5: signature, DAG node, registration --------------
-        restored_values, unresolved, upstream_failed, sole_dep = self._register(inst, scope)
+        restored_values, unresolved, upstream_failed = self._register(inst, scope)
 
         if restored_values is not None:
             # Replay from the checkpoint store: the task never runs (its
@@ -754,14 +628,6 @@ class Runtime:
         elif self.executor == "sequential":
             # Submission order is a topological order, so deps are done.
             self._execute(inst)
-        elif self._fusion:
-            unit = self._try_fuse(inst, unresolved, sole_dep)
-            if unit is None and unresolved == 0:
-                self._enqueue(inst)
-            # Any open unit this submission did *not* touch stops
-            # accumulating: arm it now, so a submitter that moves on
-            # to other work cannot strand a buffered chain.
-            self._flush_fused(keep=(unit,) if unit is not None else ())
         elif unresolved == 0:
             self._enqueue(inst)
 
@@ -838,7 +704,7 @@ class Runtime:
             # leave intra-batch children parked on a queue that the
             # sequential executor never drains).
             for inst in insts:
-                restored_values, _unresolved, upstream_failed, _sd = self._register(
+                restored_values, _unresolved, upstream_failed = self._register(
                     inst, scope
                 )
                 if restored_values is not None:
@@ -854,26 +720,16 @@ class Runtime:
 
         # -- dispatch, in call order ------------------------------------
         ready_batch: list[TaskInstance] = []
-        touched: set[FusedTask] = set()
-        fusion = self._fusion
-        for inst, (restored_values, unresolved, upstream_failed, sole_dep) in zip(
+        for inst, (restored_values, unresolved, upstream_failed) in zip(
             insts, registered
         ):
             if restored_values is not None:
                 self._restore(inst, restored_values)
             elif upstream_failed:
                 self._cancel_pending(inst)
-            elif fusion:
-                unit = self._try_fuse(inst, unresolved, sole_dep)
-                if unit is not None:
-                    touched.add(unit)
-                elif unresolved == 0:
-                    ready_batch.append(inst)
             elif unresolved == 0:
                 ready_batch.append(inst)
         self._enqueue_batch(ready_batch)
-        if fusion:
-            self._flush_fused(keep=touched)
 
         return [self._returns_of(inst) for inst in insts]
 
@@ -906,7 +762,7 @@ class Runtime:
         kwargs are defensively copied: ``TaskCall`` is a public
         dataclass, so a caller that builds calls directly may reuse or
         later mutate the kwargs dict — which must not leak into an
-        already-submitted (possibly still-buffered) task.  The common
+        already-submitted task that has not run yet.  The common
         kwargs-free flood path stays copy-free.
         """
         if isinstance(call, TaskCall):
@@ -1050,10 +906,8 @@ class Runtime:
     def _register(self, inst: TaskInstance, scope: "Scope") -> tuple:
         """Phases 3-5 of submission: checkpoint-signature lookup, DAG
         node, state registration.  Returns ``(restored_values,
-        unresolved, upstream_failed, sole_dep)`` for the caller's
-        dispatch decision — *sole_dep* is the instance of the single
-        unresolved dependency when the new task is its first consumer
-        (the fusion chain-extension candidate), else ``None``."""
+        unresolved, upstream_failed)`` for the caller's dispatch
+        decision."""
         spec, task_id, deps = inst.spec, inst.task_id, inst.deps
 
         # -- phase 3 (sig lock inside): checkpoint signature ------------
@@ -1087,56 +941,44 @@ class Runtime:
             scope.task_submitted(task_id)
             inst._owner_scope = scope  # type: ignore[attr-defined]
             self._unfinished_total += 1
-            unresolved, upstream_failed, sole_dep = self._walk_deps_locked(
-                inst, restored_values
-            )
+            unresolved, upstream_failed = self._walk_deps_locked(inst, restored_values)
             inst._remaining = unresolved
 
         self._emit(obs.SUBMITTED, inst, inst.t_submit)
-        return restored_values, unresolved, upstream_failed, sole_dep
+        return restored_values, unresolved, upstream_failed
 
     def _walk_deps_locked(
         self, inst: TaskInstance, restored_values: tuple | None
-    ) -> tuple[int, bool, TaskInstance | None]:
+    ) -> tuple[int, bool]:
         """Dependency walk of phase 5 (callers hold ``_state_lock``):
         registers *inst* as a child of every unresolved dependency and
-        reports ``(unresolved, upstream_failed, sole_dep)``."""
+        reports ``(unresolved, upstream_failed)``."""
         unresolved = 0
         upstream_failed = False
-        sole_dep: TaskInstance | None = None
         if restored_values is None:
             by_root = self._by_root
             children = self._children
             for dep in inst.deps:
                 dep_inst = by_root.get(dep)
-                if dep_inst is None:
-                    # The dep allocated its id (phase 2 of its own
-                    # submission) but has not registered yet; it
-                    # cannot have completed, so it is unresolved and
-                    # its completion will find us in ``_children``.
+                if dep_inst is None or dep_inst.state not in TERMINAL_STATES:
+                    # A dep missing from ``_by_root`` allocated its id
+                    # (phase 2 of its own submission) but has not
+                    # registered yet; it cannot have completed, so it
+                    # is unresolved and its completion will find us in
+                    # ``_children``.
                     children[dep].append(inst)
                     unresolved += 1
-                    sole_dep = None
-                elif dep_inst.state not in TERMINAL_STATES:
-                    bucket = children[dep]
-                    bucket.append(inst)
-                    unresolved += 1
-                    # First (and so far only) consumer of its single
-                    # pending dep: the fusion chain-extension shape.
-                    sole_dep = (
-                        dep_inst if unresolved == 1 and len(bucket) == 1 else None
-                    )
                 elif dep_inst.state in (FAILED, CANCELLED):
                     # upstream already failed: the caller cancels.
                     upstream_failed = True
-        return unresolved, upstream_failed, sole_dep
+        return unresolved, upstream_failed
 
     def _register_batch(self, insts: list[TaskInstance], scope: "Scope") -> list[tuple]:
         """Phases 3-5 for a whole ``submit_many`` batch (pooled
         executor only): per-instance checkpoint signatures, one graph
         insertion, one state-lock pass.  Returns the per-instance
-        ``(restored_values, unresolved, upstream_failed, sole_dep)``
-        tuples in batch order."""
+        ``(restored_values, unresolved, upstream_failed)`` tuples in
+        batch order."""
         store = self.checkpoint_store
         if store is not None:
             restored_list: list[tuple | None] = []
@@ -1185,11 +1027,11 @@ class Runtime:
                 by_root[task_id] = inst
                 inst._owner_scope = scope  # type: ignore[attr-defined]
                 self._unfinished_total += 1
-                unresolved, upstream_failed, sole_dep = self._walk_deps_locked(
+                unresolved, upstream_failed = self._walk_deps_locked(
                     inst, restored_values
                 )
                 inst._remaining = unresolved
-                out.append((restored_values, unresolved, upstream_failed, sole_dep))
+                out.append((restored_values, unresolved, upstream_failed))
         if self.events:
             for inst in insts:
                 self._emit(obs.SUBMITTED, inst, inst.t_submit)
@@ -1303,144 +1145,11 @@ class Runtime:
             self._counters.notifies += len(insts)
             self._cond.notify(len(insts))
 
-    def _pop_ready(self) -> "TaskInstance | FusedTask | None":
+    def _pop_ready(self) -> "TaskInstance | None":
         with self._cond:
             if self._ready:
                 return heapq.heappop(self._ready)[2]
             return None
-
-    # -- task fusion -----------------------------------------------------
-    @staticmethod
-    def _fusable(spec: TaskSpec, resolved) -> bool:
-        """Whether a task with these spec/options may join a fused
-        unit: pure (no INOUT/OUT writes — the checkpointable-signature
-        shape), at least one return value (consumption flows through
-        futures the unit resolves locally), no timeout watchdog, and a
-        failure policy without side constraints (``RETRY`` re-runs
-        through the normal resubmission machinery after the unit
-        demotes its remainder; ``CANCEL_SUCCESSORS`` propagates as
-        usual; ``FAIL``/``IGNORE`` interact with unit execution order
-        in ways fusion does not model, so they opt out)."""
-        return (
-            spec.returns >= 1
-            and not spec.has_writes
-            and resolved.time_out is None
-            and resolved.on_failure in (CANCEL_SUCCESSORS, RETRY)
-        )
-
-    def _try_fuse(
-        self, inst: TaskInstance, unresolved: int, sole_dep: TaskInstance | None
-    ) -> "FusedTask | None":
-        """Buffer *inst* into an open fused unit when it fits.
-
-        Returns the touched unit (the caller keeps it open through its
-        flush), or ``None`` when the instance must be dispatched
-        normally.  Two shapes fuse: a dependency-free eligible task
-        opens a new unit (the head), and an eligible task whose single
-        unresolved dependency is an open unit's tail — with no other
-        consumer so far and the same priority — extends that unit.
-        Map-map stages fuse as N parallel chains through exactly this
-        rule, one chain per element.  A buffered instance stays
-        ``PENDING`` and never enters the ready queue by itself.
-        """
-        options = inst.options
-        if not self._fusable(inst.spec, options):
-            return None
-        if unresolved == 0:
-            unit = FusedTask(inst)
-            inst._fused_unit = unit
-            with self._fuse_lock:
-                self._fuse_pending[inst.root_id] = unit
-            return unit
-        if unresolved == 1 and sole_dep is not None:
-            with self._fuse_lock:
-                unit = self._fuse_pending.get(sole_dep.root_id)
-                if (
-                    unit is not None
-                    and not unit.broken
-                    and unit.members[-1] is sole_dep
-                    and len(unit.members) < _FUSE_MAX
-                    and sole_dep.options.priority == options.priority
-                ):
-                    unit.members.append(inst)
-                    inst._fused_unit = unit
-                    # Re-key the unit under its new tail so the next
-                    # link of the chain finds it.
-                    del self._fuse_pending[sole_dep.root_id]
-                    self._fuse_pending[inst.root_id] = unit
-                    return unit
-        return None
-
-    def _flush_fused(self, keep=()) -> None:
-        """Arm every open fused unit not in *keep* (the units the
-        current submission touched, still accumulating).  Called at
-        the end of every submission, by waiters entering the help
-        loop, and by shutdown — so a buffered chain is armed as soon
-        as its submitter moves on, waits, or stops."""
-        if not self._fuse_pending:
-            return
-        with self._fuse_lock:
-            if keep:
-                units = [u for u in self._fuse_pending.values() if u not in keep]
-                if units:
-                    self._fuse_pending = {
-                        tail: u for tail, u in self._fuse_pending.items() if u in keep
-                    }
-            else:
-                units = list(self._fuse_pending.values())
-                self._fuse_pending.clear()
-        if units:
-            self._arm_units(units)
-
-    def _arm_units(self, units: list["FusedTask"]) -> None:
-        """Move flushed units into the ready queue.
-
-        Single-member units are demoted to plain tasks (nothing to
-        fuse) and enqueued as a batch.  A multi-member unit enters the
-        heap as *one* entry at its head's priority; members stay
-        ``PENDING`` — each is claimed right before it runs — and are
-        stamped ready here without ``READY`` events, since they never
-        individually enter the queue (metrics reconciliation counts
-        submissions and terminal events, both of which every member
-        still emits exactly once).
-        """
-        singles: list[TaskInstance] = []
-        fused: list[FusedTask] = []
-        for unit in units:
-            if len(unit.members) == 1:
-                inst = unit.members[0]
-                inst._fused_unit = None
-                # An abort may have cancelled the instance while it
-                # was buffered; cancellation already ran its
-                # bookkeeping, so only still-pending ones enqueue.
-                if inst.state == PENDING:
-                    singles.append(inst)
-            else:
-                fused.append(unit)
-        self._enqueue_batch(singles)
-        if not fused:
-            return
-        now = self._now()
-        armed: list[tuple[int, FusedTask, int]] = []
-        for unit in fused:
-            live = 0
-            for inst in unit.members:
-                if inst.state == PENDING:
-                    inst.t_ready = now
-                    live += 1
-            if live == 0:
-                continue  # the whole unit was cancelled while buffered
-            armed.append((unit.members[0].options.priority, unit, live))
-        if not armed:
-            return
-        with self._cond:
-            for priority, unit, live in armed:
-                heapq.heappush(self._ready, (-priority, self._ready_seq, unit))
-                self._ready_seq += 1
-                self._counters.fused_units += 1
-                self._counters.fused_tasks += live
-            self._counters.notifies += len(armed)
-            self._cond.notify(len(armed))
 
     def _broadcast(self) -> None:
         """Wake every parked thread.  Issued after any state change a
@@ -1639,11 +1348,6 @@ class Runtime:
             while not predicate():
                 if self._killed is not None:
                     raise self._killed
-                if self._fuse_pending:
-                    # A waiter is the natural flush point for buffered
-                    # fused chains: the submitter stopped extending
-                    # them and now needs their results.
-                    self._flush_fused()
                 inst = self._pop_ready()
                 if inst is not None:
                     self._execute(inst)
@@ -1751,211 +1455,7 @@ class Runtime:
             raise outcome["error"]
         return outcome["value"]
 
-    def _execute_fused(self, unit: FusedTask) -> None:
-        """Run a fused unit's members inline, in topological order.
-
-        Interior futures resolve on this thread without re-entering
-        the scheduler; each member still claims execution atomically
-        (``claim_run``), runs through the full ``_execute`` body and
-        emits its own events and trace record — fusion changes *where*
-        members run, never what is recorded about them.  Per-member
-        completion broadcasts and DAG stamps are deferred into one
-        flush at unit end (see :class:`_FusedCompletion`); external
-        children still enqueue immediately inside ``_complete``.  A
-        member failure breaks the unit: ``_fail`` demoted the
-        remaining members back to dependency-driven scheduling before
-        resubmitting, so the loop stops and nothing runs twice.
-        """
-        ctx = _FusedCompletion()
-        if not (self._backend_inline and current_attempt() == 0):
-            # Unusual environment (process backend misconfiguration,
-            # or a unit executed from inside another task's attempt
-            # context): run every member through the full path.
-            try:
-                for inst in unit.members:
-                    if unit.broken:
-                        break
-                    self._execute(inst, _defer=ctx)
-            finally:
-                if ctx.attrs:
-                    self.graph.set_attrs(ctx.attrs)
-                if ctx.dirty:
-                    self._broadcast()
-            return
-
-        # Lean member loop: semantically the `_execute` success path
-        # with every per-member branch that cannot apply to a fusable
-        # member (timeout watchdog, INOUT bookkeeping) removed and
-        # every engine-level service gate (events, checkpoint store,
-        # object store, debug validation) re-checked per member so a
-        # mid-unit subscription or store creation falls back to the
-        # full path for the remaining members.  Failure handling is
-        # byte-for-byte the full path's: `_fail` breaks the unit and
-        # demotes not-yet-run members before any resubmission.
-        now = self._now
-        collect = self.config.collect_trace
-        record = self.collector.record
-        wname = threading.current_thread().name
-        pid = os.getpid()
-        tls = _tls
-        outer_scope = getattr(tls, "scope", None)
-        state_lock = self._state_lock
-        children_map = self._children
-        attrs_append = ctx.attrs.append
-        done_attr = {"state": DONE}
-        ran = 0
-        try:
-            for inst in unit.members:
-                if unit.broken:
-                    break
-                if (
-                    self._debug
-                    or self.checkpoint_store is not None
-                    or self._store is not None
-                    or self.events
-                ):
-                    self._execute(inst, _defer=ctx)
-                    continue
-                if inst.claim_run() is None:
-                    continue  # cancelled (or finalized) before it could start
-                spec = inst.spec
-                name = spec.name
-                t0 = now()
-                inst.t_dispatch = t0
-                inst.t_body_start = t0
-                inst.worker_name = wname
-                scope = Scope(self, parent_task_id=inst.task_id)
-                tls.scope = scope
-                # Lean-loop twin of `_run_body`'s ambient install: a
-                # fused member submitting nested tasks still parents
-                # them under its own span.
-                mctx = inst.trace_ctx
-                prev_ctx = _tracectx.set_context(mctx) if mctx is not None else None
-                try:
-                    _fault_hook(name)
-                    if _worker_kill_hook(name):
-                        raise NodeFailureError(pid, task_name=name, simulated=True)
-                    args = inst.args
-                    if len(args) == 1 and type(args[0]) is Future:
-                        args = (args[0].result(),)  # the chain-fusion shape
-                    else:
-                        args = resolve_futures(args)
-                    kwargs = resolve_futures(inst.kwargs) if inst.kwargs else {}
-                    result = spec.func(*args, **kwargs)
-                    ran += 1
-                    if scope._unfinished:
-                        scope.wait_all()
-                    results = _split_results(inst, resolve_futures(result))
-                except WorkflowKilledError as exc:
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._kill(exc)
-                    raise
-                except Exception as exc:  # noqa: BLE001 - routed to failure policies
-                    t_end = now()
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._fail(inst, exc, t0, t_end)
-                    continue
-                except BaseException as exc:  # noqa: BLE001
-                    t_end = now()
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._kill(exc)
-                    error = TaskExecutionError(inst.name, inst.task_id, exc)
-                    inst.error = error
-                    inst.t_end = t_end
-                    self._record(inst, t0, t_end, status="failed", error=exc)
-                    for fut in inst.futures:
-                        fut._set_error(error)
-                    self._complete(inst, FAILED)
-                    raise
-                tls.scope = outer_scope
-                if mctx is not None:
-                    _tracectx.set_context(prev_ctx)
-                t_end = now()
-                inst.t_end = t_end
-                inst.worker_pid = pid
-                futures = inst.futures
-                if len(futures) == 1:
-                    futures[0]._set_result(results[0])
-                else:
-                    for fut, value in zip(futures, results):
-                        fut._set_result(value)
-                if collect:
-                    constraints = inst.spec.constraints
-                    record(
-                        TaskRecord(
-                            task_id=inst.task_id,
-                            name=inst.name,
-                            deps=tuple(sorted(inst.deps)),
-                            t_start=t0,
-                            t_end=t_end,
-                            t_submit=inst.t_submit,
-                            t_ready=inst.t_ready,
-                            t_dispatch=t0,
-                            worker=wname,
-                            computing_units=constraints.computing_units,
-                            gpus=constraints.gpus,
-                            in_bytes=estimate_nbytes(args)
-                            + (estimate_nbytes(kwargs) if kwargs else 0),
-                            out_bytes=estimate_nbytes(results),
-                            parent_id=inst.parent_id,
-                            label=inst.label,
-                            attempt=inst.attempt,
-                            retry_of=inst.retry_of,
-                            status="done",
-                            pid=pid,
-                            fused_id=unit.unit_id,
-                            trace_id=mctx.trace_id if mctx is not None else None,
-                            span_id=mctx.span_id if mctx is not None else None,
-                            parent_span_id=(
-                                mctx.parent_id if mctx is not None else None
-                            ),
-                        )
-                    )
-                # Inline `_complete` for the success path, with the
-                # branches that cannot apply constant-folded away
-                # (events off and debug off — both re-checked above —
-                # and state is DONE, so no failure propagation).  The
-                # next member of this unit gets its dependency count
-                # cleared without taking its lock: `_fused_unit is
-                # unit` means it joined via the single-unresolved-dep
-                # extension rule, so `_remaining` started at 1 and this
-                # thread holds the only pending decrement.
-                if not inst.try_finalize():
-                    continue
-                inst.state = DONE
-                with state_lock:
-                    children = children_map.pop(inst.root_id, ())
-                    self._unfinished_total -= 1
-                inst._owner_scope.task_finished()
-                attrs_append((inst.task_id, done_attr))
-                for child in children:
-                    if child._fused_unit is unit:
-                        child._remaining = 0
-                    elif (
-                        child.dep_completed()
-                        and child.state == PENDING
-                        and child._fused_unit is None
-                    ):
-                        self._enqueue(child)
-                ctx.dirty = True
-        finally:
-            if ran:
-                self._backend.count_inline(ran)
-            if ctx.attrs:
-                self.graph.set_attrs(ctx.attrs)
-            if ctx.dirty:
-                self._broadcast()
-
-    def _execute(self, inst: "TaskInstance | FusedTask", _defer=None) -> None:
-        if type(inst) is FusedTask:
-            self._execute_fused(inst)
-            return
+    def _execute(self, inst: TaskInstance) -> None:
         prev_state = inst.claim_run()
         if prev_state is None:
             return  # cancelled (or finalized) before it could start
@@ -2048,7 +1548,7 @@ class Runtime:
                 in_bytes=estimate_nbytes(args) + estimate_nbytes(kwargs),
                 out_bytes=estimate_nbytes(results),
             )
-        self._complete(inst, DONE, defer=_defer)
+        self._complete(inst, DONE)
 
     # ------------------------------------------------------------------
     # failure management
@@ -2069,7 +1569,6 @@ class Runtime:
         # started (resolution/fault failure, restore) fall back to the
         # caller's stamp (dispatch time) so duration stays well-formed.
         body_start = inst.t_body_start if inst.t_body_start is not None else t_start
-        unit = inst._fused_unit
         tctx = inst.trace_ctx
         self.collector.record(
             TaskRecord(
@@ -2095,7 +1594,6 @@ class Runtime:
                 pid=inst.worker_pid,
                 bytes_moved=inst.bytes_moved,
                 bytes_saved=inst.bytes_saved,
-                fused_id=unit.unit_id if unit is not None else None,
                 trace_id=tctx.trace_id if tctx is not None else None,
                 span_id=tctx.span_id if tctx is not None else None,
                 parent_span_id=tctx.parent_id if tctx is not None else None,
@@ -2105,21 +1603,6 @@ class Runtime:
     def _fail(
         self, inst: TaskInstance, exc: BaseException, t_start: float, t_end: float
     ) -> None:
-        unit = inst._fused_unit
-        if unit is not None and not unit.broken:
-            # A member failed mid-unit: break the unit and demote the
-            # not-yet-run members back to dependency-driven scheduling
-            # *before* any resubmission.  This runs on the unit's
-            # executing thread — the only thread that touches these
-            # still-PENDING members — so the retry attempt completing
-            # later enqueues each demoted member through the normal
-            # ``_complete`` child path exactly once.  The failed
-            # member keeps its unit slot so its trace record carries
-            # the ``fused_id``.
-            unit.broken = True
-            idx = unit.members.index(inst)
-            for member in unit.members[idx + 1:]:
-                member._fused_unit = None
         if isinstance(exc, TaskExecutionError):
             error = exc
         else:
@@ -2296,7 +1779,6 @@ class Runtime:
         inst: TaskInstance,
         state: str,
         event_kind: str | None = None,
-        defer: "_FusedCompletion | None" = None,
     ) -> None:
         if not inst.try_finalize():
             return
@@ -2309,25 +1791,14 @@ class Runtime:
             children = self._children.pop(inst.root_id, [])
             self._unfinished_total -= 1
         getattr(inst, "_owner_scope").task_finished()
-        if defer is None:
-            self.graph.set_attr(inst.task_id, state=state)
-        else:
-            defer.attrs.append((inst.task_id, {"state": state}))
+        self.graph.set_attr(inst.task_id, state=state)
         failure = state in (FAILED, CANCELLED)
         to_enqueue: list[TaskInstance] = []
         for child in children:
             if failure:
                 # Propagate: the child can never run.
                 self._cancel_pending(child)
-            elif (
-                child.dep_completed()
-                and child.state == PENDING
-                and child._fused_unit is None
-            ):
-                # Fused members run inline inside their unit, never
-                # through the queue — but their dependency count was
-                # still decremented above, so a later demotion resumes
-                # normal scheduling seamlessly.
+            elif child.dep_completed() and child.state == PENDING:
                 to_enqueue.append(child)
         for child in to_enqueue:
             self._enqueue(child)
@@ -2335,13 +1806,8 @@ class Runtime:
         # drained, unfinished == 0) may have just turned true.  The
         # state changes above happened before this broadcast, and
         # waiters re-check under the condition before parking, so the
-        # wakeup cannot be lost.  Inside a fused unit the broadcast is
-        # deferred to the unit's end: one wakeup covers all members,
-        # and the wait is bounded by the unit cap.
-        if defer is None:
-            self._broadcast()
-        else:
-            defer.dirty = True
+        # wakeup cannot be lost.
+        self._broadcast()
 
     def _cancel_pending(self, inst: TaskInstance) -> None:
         """Cancel *inst* and, transitively, every dependent waiting on

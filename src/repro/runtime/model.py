@@ -89,7 +89,7 @@ class TaskSpec:
     @functools.cached_property
     def has_writes(self) -> bool:
         # Per-spec constant, but on the submit hot path (dependency
-        # scan + fusion eligibility check it twice per call) — cache
+        # scan and the checkpoint signature both read it) — cache
         # the dict walk.  ``cached_property`` writes straight into the
         # instance ``__dict__``, which a frozen dataclass still has.
         return any(d is not Direction.IN for d in self.directions.values())
@@ -146,7 +146,6 @@ class TaskInstance:
         "_owner_scope",
         "_abandoned",
         "_finalized",
-        "_fused_unit",
     )
 
     def __init__(
@@ -211,12 +210,6 @@ class TaskInstance:
         self._abandoned = False
         #: Guards completion bookkeeping against the run/cancel race.
         self._finalized = False
-        #: The :class:`~repro.runtime.engine.FusedTask` this instance
-        #: is a member of (None = not fused).  Set while the instance
-        #: is buffered/scheduled inside a fused unit; cleared when the
-        #: unit is demoted (retry, singleton arm) so the normal
-        #: enqueue-on-dep-completion path resumes.
-        self._fused_unit = None
 
     def dep_completed(self) -> bool:
         """Mark one dependency as satisfied; True if the task became ready."""

@@ -244,7 +244,6 @@ def _run_scenario(
     backend: str = "threads",
     observability: str = "",
     store: bool = False,
-    fusion: bool = False,
 ) -> StressReport:
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -258,7 +257,6 @@ def _run_scenario(
         max_workers=workers,
         name=f"stress-{seed}",
         debug_invariants=True,
-        fusion=fusion,
         retry_backoff=0.0005,
         retry_backoff_cap=0.002,
         # The store reconciliation needs the trace's byte totals.
@@ -519,123 +517,6 @@ def _run_scenario(
 
 
 # ----------------------------------------------------------------------
-# fusion differential
-# ----------------------------------------------------------------------
-def _run_fusion_workload(
-    seed: int, n_ops: int, workers: int, fusion: bool
-) -> tuple[list[Any], dict]:
-    """One deterministic pure-task DAG, built stage by stage from the
-    seed.  Every stage goes through ``submit_many`` so the fusion pass
-    sees whole map stages and chains; all tasks are pure and the RNG
-    never observes execution results, so two runs of the same seed
-    must produce bit-identical values regardless of scheduling."""
-    from repro.runtime import wait_on
-
-    rng = random.Random(seed)
-    width = 8
-    cfg = RuntimeConfig(
-        executor="threads",
-        max_workers=workers,
-        name=f"fusediff-{seed}-{'on' if fusion else 'off'}",
-        debug_invariants=True,
-        fusion=fusion,
-    )
-    rt = Runtime(config=cfg)
-    push_runtime(rt)
-    try:
-        stage = rt.submit_many(
-            [_add.defer(rng.randint(-50, 50), i) for i in range(width)]
-        )
-        all_futs = list(stage)
-        # Three unconditional map stages first: each extends every open
-        # unit, so the fusion-on run is *guaranteed* at least 8 units of
-        # 4 members regardless of the random op sequence (later stages
-        # fuse only opportunistically — whether a flushed chain re-opens
-        # depends on whether its parent already ran, a benign race).
-        for _ in range(3):
-            stage = rt.submit_many([_add.defer(f, rng.randint(-5, 5)) for f in stage])
-            all_futs.extend(stage)
-        for _ in range(max(1, n_ops // width)):
-            op = rng.random()
-            if op < 0.5:
-                # map stage: element-wise successor of the last stage
-                stage = rt.submit_many(
-                    [_add.defer(f, rng.randint(-5, 5)) for f in stage]
-                )
-            elif op < 0.8:
-                # fan-out: a fresh stage chained off one prior element
-                root = stage[rng.randrange(len(stage))]
-                stage = rt.submit_many([_add.defer(root, k) for k in range(width)])
-            else:
-                # mirror-pair stage: each element consumes two parents,
-                # which breaks chain fusion and exercises the demotion
-                # of buffered units back onto the ready queue
-                stage = rt.submit_many(
-                    [
-                        _add.defer(stage[i], stage[-1 - i])
-                        for i in range(len(stage))
-                    ]
-                )
-            all_futs.extend(stage)
-        values = wait_on(all_futs)
-        rt.shutdown(wait=True)
-        stats = rt.stats()
-        problems = rt.check_invariants(quiesced=True)
-        if problems:
-            raise AssertionError(f"invariant violations: {problems}")
-    finally:
-        pop_runtime(rt)
-    return values, stats
-
-
-def run_differential(
-    seed: int, n_ops: int = 240, workers: int = 4, timeout: float = 60.0
-) -> StressReport:
-    """Fusion bit-identity differential: run the same seeded DAG with
-    fusion off and on and require every future's value to match
-    bit-for-bit, the same task count, and that the fused run actually
-    fused something (a silently-disabled optimizer would pass any
-    equivalence check)."""
-    t0 = time.perf_counter()
-
-    def body() -> list[str]:
-        base_vals, base_stats = _run_fusion_workload(seed, n_ops, workers, False)
-        fused_vals, fused_stats = _run_fusion_workload(seed, n_ops, workers, True)
-        problems: list[str] = []
-        if base_vals != fused_vals:
-            diffs = [
-                i for i, (a, b) in enumerate(zip(base_vals, fused_vals)) if a != b
-            ]
-            problems.append(
-                f"fusion changed {len(diffs)} value(s), first at index {diffs[0]}: "
-                f"{base_vals[diffs[0]]!r} != {fused_vals[diffs[0]]!r}"
-            )
-        if base_stats["n_tasks"] != fused_stats["n_tasks"]:
-            problems.append(
-                "task count diverged: "
-                f"{base_stats['n_tasks']} unfused vs {fused_stats['n_tasks']} fused"
-            )
-        if base_stats["scheduler"].get("fused_tasks", 0):
-            problems.append(
-                f"fusion-off run fused {base_stats['scheduler']['fused_tasks']} tasks"
-            )
-        if not fused_stats["scheduler"].get("fused_tasks", 0):
-            problems.append("fusion-on run never fused a task")
-        return problems
-
-    outcome = run_under_watchdog(body, timeout, f"fusediff-seed-{seed}")
-    problems = outcome["problems"] if not outcome["ok"] else outcome["value"]
-    return StressReport(
-        seed=seed,
-        mode="fusediff",
-        ok=not problems,
-        n_tasks=0,
-        duration=time.perf_counter() - t0,
-        problems=problems,
-    )
-
-
-# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 def run_seed(
@@ -646,7 +527,6 @@ def run_seed(
     backend: str = "threads",
     observability: str = "",
     store: bool = False,
-    fusion: bool = False,
 ) -> StressReport:
     """Run one seed under a hang watchdog.
 
@@ -656,7 +536,7 @@ def run_seed(
     up here instead of wedging the suite."""
     outcome = run_under_watchdog(
         lambda: _run_scenario(
-            seed, n_ops, workers, backend, observability, store, fusion
+            seed, n_ops, workers, backend, observability, store
         ),
         timeout,
         f"stress-seed-{seed}",
@@ -682,7 +562,6 @@ def run_suite(
     backend: str = "threads",
     observability: str = "",
     store: bool = False,
-    fusion: bool = False,
 ) -> list[StressReport]:
     reports = []
     for seed in seeds:
@@ -694,7 +573,6 @@ def run_suite(
             backend=backend,
             observability=observability,
             store=store,
-            fusion=fusion,
         )
         reports.append(report)
         if verbose:
@@ -741,37 +619,9 @@ def main(argv: list[str] | None = None) -> int:
         "Runtime.put) into every seed and reconcile the store byte "
         "accounting on clean drains",
     )
-    parser.add_argument(
-        "--fuse",
-        action="store_true",
-        help="run every seed with the task-fusion pass enabled "
-        "(fusion=True); the same reference checks apply, so any "
-        "fusion-induced divergence fails the seed",
-    )
-    parser.add_argument(
-        "--differential",
-        action="store_true",
-        help="fusion bit-identity differential: run each seed's "
-        "deterministic DAG twice, fusion off and on, and require "
-        "bit-identical values and matching task counts",
-    )
     args = parser.parse_args(argv)
 
     seeds = args.seed if args.seed else range(args.seeds)
-    if args.differential:
-        reports = []
-        for seed in seeds:
-            report = run_differential(
-                seed, n_ops=args.ops, workers=args.workers, timeout=args.timeout
-            )
-            reports.append(report)
-            print(report.line(), flush=True)
-        failed = [r for r in reports if not r.ok]
-        print(
-            f"fusediff: {len(reports) - len(failed)}/{len(reports)} seeds passed",
-            flush=True,
-        )
-        return 1 if failed else 0
     reports = run_suite(
         seeds,
         n_ops=args.ops,
@@ -780,7 +630,6 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         observability="metrics" if args.metrics else "",
         store=args.store,
-        fusion=args.fuse,
     )
     failed = [r for r in reports if not r.ok]
     print(

@@ -100,12 +100,6 @@ class SchedulerCounters:
     #: Submissions that found the dependency-detection lock held by a
     #: concurrent submission (lock contention on the submit path).
     submit_contentions: int = 0
-    #: Member tasks executed inline inside fused units — each skipped
-    #: one ready-queue round trip (heap push + pop + wakeup).
-    fused_tasks: int = 0
-    #: Fused units scheduled (each entered the ready queue once on
-    #: behalf of all its members).
-    fused_units: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dataclasses.asdict(self)
@@ -158,11 +152,6 @@ class TaskRecord:
     #: references instead of buffers.
     bytes_moved: int = 0
     bytes_saved: int = 0
-    #: Id of the fused unit this attempt ran inside (the unit head's
-    #: task id), or None when the attempt was scheduled individually.
-    #: Members of one unit share the value; the chrome-trace export
-    #: nests their spans under one fused envelope span.
-    fused_id: int | None = None
     #: Distributed-trace identity (W3C-traceparent style, stamped from
     #: the attempt's :class:`~repro.runtime.tracectx.TraceContext`):
     #: the 32-hex trace id shared by every span of one logical request,

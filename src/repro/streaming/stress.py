@@ -259,7 +259,6 @@ def run_stream_scenario(
     seed: int,
     workers: int = 2,
     timeout: float = 60.0,
-    fusion: bool = False,
     metrics: bool = False,
 ) -> StressReport:
     """One seeded scenario under the watchdog, with a full leak audit."""
@@ -272,7 +271,6 @@ def run_stream_scenario(
             executor="threads",
             max_workers=workers,
             debug_invariants=True,
-            fusion=fusion,
             observability="metrics" if metrics else "",
             name=f"stream-stress-{seed}",
         )
@@ -315,14 +313,13 @@ def run_suite(
     seeds,
     workers: int = 2,
     timeout: float = 60.0,
-    fusion: bool = False,
     metrics: bool = False,
     verbose: bool = True,
 ) -> list[StressReport]:
     reports = []
     for seed in seeds:
         report = run_stream_scenario(
-            seed, workers=workers, timeout=timeout, fusion=fusion, metrics=metrics
+            seed, workers=workers, timeout=timeout, metrics=metrics
         )
         reports.append(report)
         if verbose:
@@ -338,7 +335,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", default=None)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--fuse", action="store_true")
     parser.add_argument("--metrics", action="store_true")
     args = parser.parse_args(argv)
     seeds = args.seed if args.seed else range(args.seeds)
@@ -346,7 +342,6 @@ def main(argv=None) -> int:
         seeds,
         workers=args.workers,
         timeout=args.timeout,
-        fusion=args.fuse,
         metrics=args.metrics,
     )
     failed = [r for r in reports if not r.ok]

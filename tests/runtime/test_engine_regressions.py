@@ -169,3 +169,29 @@ def test_submit_many_bad_item_names_type_and_index():
         with pytest.raises(TypeError) as err:
             rt.submit_many([(one, (), {}, None, None)])  # 5-tuple: too long
         assert "batch index 0" in str(err.value)
+
+
+def test_taskcall_kwargs_mutation_does_not_leak():
+    """TaskCall is public: a caller may mutate its kwargs dict after
+    submit_many() returns, while the task is still waiting on a
+    dependency — the submitted arguments must be unaffected."""
+    from repro.runtime.model import TaskCall
+
+    release = threading.Event()
+
+    @task(returns=1)
+    def gate():
+        release.wait(10)
+        return 0
+
+    @task(returns=1)
+    def add_kw(dep, *, x=0):
+        return dep + x + 1
+
+    with Runtime(executor="threads", max_workers=2) as rt:
+        g = gate()
+        kw = {"x": 1}
+        f = rt.submit_many([TaskCall(add_kw.spec, (g,), kw)])[0]
+        kw["x"] = 999  # add_kw cannot have started: gate still blocks
+        release.set()
+        assert f.result(timeout=10) == 2

@@ -15,14 +15,6 @@ def test_each_scenario_family_passes(seed):
     assert report.ok, report.problems
 
 
-def test_fusion_mode_passes():
-    reports = stress.run_suite(
-        range(4), workers=2, timeout=60.0, fusion=True, verbose=False
-    )
-    bad = [r for r in reports if not r.ok]
-    assert not bad, [r.problems for r in bad]
-
-
 def test_runtime_abort_variant_is_exercised():
     # seeds 14/18 take the workflow-abort branch of the abort family
     # (they submit the failing DAG task); keep them pinned so the
