@@ -1,8 +1,10 @@
 """Instrumentation overhead microbenchmark.
 
-The telemetry layer sits on the scheduler hot path (every lifecycle
-transition emits an event when anyone is listening), so the whole
-design only holds if it is cheap.  Three measurements, recorded to
+The telemetry layer sits on the scheduler hot path, so the whole
+design only holds if it is cheap.  Metrics are computed from the
+attempt table at snapshot time and attach no event-bus subscriber, so
+a metrics-on runtime schedules on the same falsy-bus fast path as a
+metrics-off one.  Three measurements, recorded to
 ``BENCH_observability.json`` at the repository root:
 
 * **submit latency** (the asserted contract, same shape as the
@@ -11,17 +13,13 @@ design only holds if it is cheap.  Three measurements, recorded to
   runtime (the falsy-bus fast path skips event construction
   entirely), and with metrics on it must pay less than 10%.  The
   submissions are gated behind a blocked dependency so the timed
-  window measures what *submission* pays (the ``submitted`` event +
-  one registry update) — on a single-core box an undammed flood would
-  attribute the worker-side events to the submit window too via GIL
-  crosstalk, which the end-to-end measurement below covers instead;
-* **end-to-end flood** wall time, which additionally pays the
-  ``ready``/``dispatched``/``running``/``done`` events per task
-  against a ~50us no-op task — the worst case by construction (real
-  task bodies dwarf it).  Recorded for trend tracking with a loose
-  sanity bound;
-* **per-event unit cost** of bus dispatch + registry update for the
-  most expensive (terminal) event kind;
+  window measures what *submission* pays — on a single-core box an
+  undammed flood would attribute the worker-side work to the submit
+  window too via GIL crosstalk, which the end-to-end measurement
+  below covers instead;
+* **end-to-end flood** wall time with metrics on vs off, against a
+  ~50us no-op task — the worst case by construction (real task bodies
+  dwarf it).  Recorded for trend tracking with a loose sanity bound;
 * **trace propagation** (PR 10): the distributed-tracing layer mints a
   span context per submission (``collect_trace=True``, the default) —
   its added per-submit cost must stay under 10% of the PR-3-shaped
@@ -41,14 +39,12 @@ from __future__ import annotations
 import gc
 import json
 import pathlib
-import statistics
 import threading
 import time
 
 import pytest
 
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
-from repro.runtime import observability as obs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_observability.json"
@@ -142,9 +138,6 @@ def _gated_submit(observability: str, *, collect_trace: bool = True) -> float:
             gc.enable()
         _GATE.set()
         out = wait_on(futs)
-        if observability:
-            rt.shutdown()  # drain barrier: reconcile needs a quiesced bus
-            assert obs.reconcile(rt) == []
     assert len(out) == N_FLOOD
     return (t1 - t0) / N_FLOOD
 
@@ -156,9 +149,6 @@ def _flood(observability: str) -> float:
         t0 = time.perf_counter()
         out = wait_on([_noop(i) for i in range(N_FLOOD)])
         dt = time.perf_counter() - t0
-        if observability:
-            rt.shutdown()  # drain barrier: reconcile needs a quiesced bus
-            assert obs.reconcile(rt) == []
     assert len(out) == N_FLOOD
     return dt
 
@@ -186,9 +176,8 @@ def _flood_submit_baseline() -> float:
 def test_submit_latency_overhead_bounds():
     """The asserted contract: per-submit latency with telemetry off is
     indistinguishable from the baseline, and the absolute cost metrics
-    on adds per submission (one ``submitted`` event + one registry
-    counter bump, measured as a min-of-N delta in the gated window) is
-    <10% of the PR-3-shaped submit-latency measurement."""
+    on adds per submission (measured as a min-of-N delta in the gated
+    window) is <10% of the PR-3-shaped submit-latency measurement."""
     arms: dict[str, list[float]] = {"baseline": [], "off": [], "on": []}
     _gated_submit("")  # warm up code paths outside the timed repeats
     _gated_submit("metrics")
@@ -261,8 +250,8 @@ def test_trace_propagation_overhead_bound():
 
 
 def test_flood_end_to_end_overhead():
-    """Worst-case end-to-end cost: all five lifecycle events per task
-    against a no-op body, workers and submitter sharing one core."""
+    """Worst-case end-to-end cost of metrics on vs off against a no-op
+    body, workers and submitter sharing one core."""
     baseline: list[float] = []
     metrics_on: list[float] = []
     _flood("")
@@ -286,39 +275,3 @@ def test_flood_end_to_end_overhead():
         f"end-to-end overhead {on_ratio:.3f} >= {FLOOD_SANITY_BOUND}"
     )
 
-
-def test_event_emission_unit_cost():
-    """Per-event cost of the bus + registry, measured directly (no
-    scheduler around it) on the most expensive event kind (terminal,
-    three histogram observes): the number that must stay small
-    relative to the ~40us submit path."""
-    reg = obs.MetricsRegistry(max_workers=4)
-    bus = obs.EventBus()
-    bus.subscribe(reg.handle)
-    n = 20000
-    events = [
-        obs.TaskEvent(
-            kind=obs.DONE, t=float(i), task_id=i, root_id=i, name="bench",
-            state="done", ran=True, duration=1e-4, queue_wait=1e-5, overhead=1e-5,
-            worker="w-0",
-        )
-        for i in range(n)
-    ]
-    samples = []
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            for ev in events:
-                bus.emit(ev)
-            samples.append((time.perf_counter() - t0) / n * 1e6)
-    finally:
-        gc.enable()
-    _metrics["event_emission"] = {
-        "unit": "us/event",
-        "median": statistics.median(samples),
-        "min": min(samples),
-        "samples": samples,
-    }
-    assert min(samples) < 10.0

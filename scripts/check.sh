@@ -50,8 +50,8 @@ run_stress() {
 }
 
 run_obs() {
-    # Real run with telemetry on: metrics reconcile with stats, the
-    # Prometheus exposition parses, the chrome-trace export validates,
+    # Real run with telemetry on: the Prometheus exposition parses and
+    # its task totals match the trace, the chrome-trace export validates,
     # the critical path is bounded and the trace CLI works.  Then the
     # PR-10 tracing stack: trace-context propagation, structured
     # logging, the flight recorder, OTLP export and the service span
@@ -64,7 +64,7 @@ run_obs() {
         tests/runtime/test_tracectx.py tests/runtime/test_structlog.py \
         tests/runtime/test_flightrec.py tests/runtime/test_otlp.py \
         tests/service/test_spanlog.py tests/runtime/test_observability.py
-    echo "== observability overhead benchmark (event emission + tracing bounds) =="
+    echo "== observability overhead benchmark (metrics + tracing bounds) =="
     PYTHONPATH=src python -m pytest benchmarks/test_observability_overhead.py -x -q
 }
 

@@ -18,11 +18,10 @@ Commands:
 * ``stress [--seeds N]`` — the scheduler concurrency stress harness
   (seeded random schedules; fails on hangs, lost wakeups, wrong values
   or state-machine violations).  ``make stress`` is the same thing.
-  ``--metrics`` additionally reconciles the metrics registry against
-  ``stats()`` after every cleanly-drained seed.  ``--stream`` switches
-  to the streaming scenarios (backpressure stall/release, mid-stream
-  operator failure under RETRY, abort and ``shutdown(wait=True)``
-  mid-flight) with the same watchdog and leak audits.
+  ``--stream`` switches to the streaming scenarios (backpressure
+  stall/release, mid-stream operator failure under RETRY, abort and
+  ``shutdown(wait=True)`` mid-flight) with the same watchdog and leak
+  audits; ``--stream --metrics`` runs them with the metrics flag on.
 * ``serve-stream`` — run the online AF inference serving demo: a
   rate-controlled synthetic-ECG source through the windowed streaming
   pipeline (:mod:`repro.streaming`) with micro-batched CNN inference,
@@ -297,11 +296,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         )
         return 1 if failed else 0
 
-    observability = ",".join(
-        flag
-        for flag, enabled in (("metrics", args.metrics), ("progress", args.progress))
-        if enabled
-    )
     seeds = args.seed if args.seed else range(args.seeds)
     reports = stress.run_suite(
         seeds,
@@ -309,7 +303,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,
-        observability=observability,
+        observability="progress" if args.progress else "",
         store=args.store,
     )
     failed = [r for r in reports if not r.ok]
@@ -337,12 +331,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
     )
     with Runtime(config=rt_cfg) as rt:
         result = serve_stream(cfg, rt, gauge_interval=args.gauge_interval)
-        registry = rt.metrics_registry
-        prom = None
-        if args.prometheus and registry is not None:
-            from repro.runtime.observability import to_prometheus
-
-            prom = to_prometheus(registry.snapshot())
+        prom = rt.metrics_text() if args.prometheus else None
 
     print(
         f"served {len(result.predictions)} segment prediction(s) in "
@@ -792,8 +781,7 @@ def main(argv: list[str] | None = None) -> int:
     p6.add_argument(
         "--metrics",
         action="store_true",
-        help="enable the metrics registry and reconcile it against "
-        "stats() after every cleanly-drained seed",
+        help="with --stream: run with the metrics observability flag on",
     )
     p6.add_argument(
         "--store",

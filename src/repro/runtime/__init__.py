@@ -45,7 +45,7 @@ Public surface:
   progress reporting and trace analysis (:func:`critical_path`,
   :func:`summarize_trace`); enabled with
   ``RuntimeConfig(observability="metrics,progress")`` or
-  ``REPRO_METRICS=1`` / ``REPRO_OBSERVABILITY``.
+  ``REPRO_OBSERVABILITY``.
 """
 
 from __future__ import annotations

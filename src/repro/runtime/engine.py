@@ -106,8 +106,6 @@ from repro.runtime.tracing import (
     Trace,
     TraceCollector,
     estimate_nbytes,
-    overhead_of,
-    queue_wait_of,
 )
 
 _logger = logging.getLogger("repro.runtime")
@@ -249,17 +247,17 @@ class Runtime:
         self.collector = TraceCollector()
         #: Lifecycle event bus (see :mod:`repro.runtime.observability`).
         #: Falsy while nothing is subscribed, so un-observed runtimes
-        #: skip event construction entirely.
+        #: skip event construction entirely.  Metrics do not subscribe:
+        #: ``metrics()`` derives the task series from ``_tasks``.
         self.events = obs.EventBus()
         self._metrics: obs.MetricsRegistry | None = None
         self._progress: obs.ProgressReporter | None = None
         obs_flags = obs.parse_flags(cfg.observability)
         if "metrics" in obs_flags:
             self._metrics = obs.MetricsRegistry(max_workers=self.max_workers)
-            self.events.subscribe(self._metrics.handle)
         if "progress" in obs_flags:
             self._progress = obs.ProgressReporter(label=cfg.name)
-            self.events.subscribe(self._progress.handle)
+            self.events.subscribe(self._progress.record)
         #: Crash flight recorder: a bounded ring of recent TaskEvents,
         #: dumped to ``cfg.flightrec_dir`` on kill/abort (and by the
         #: stress watchdog / service SIGTERM handler via
@@ -440,16 +438,6 @@ class Runtime:
         events = self.events
         if not events:
             return
-        ran = inst.t_body_start is not None
-        duration = queue_wait = overhead = None
-        # `ran` first: it short-circuits the set lookup for the
-        # submit/ready/dispatch events that dominate emission volume
-        if ran and inst.t_end is not None and kind in obs.TERMINAL_KINDS:
-            duration = inst.t_end - inst.t_body_start
-            queue_wait = queue_wait_of(inst.t_ready, inst.t_dispatch)
-            overhead = overhead_of(
-                inst.t_submit, inst.t_ready, inst.t_dispatch, inst.t_body_start
-            )
         # positional TaskEvent construction: this is the hot path
         events.emit(
             obs.TaskEvent(
@@ -463,10 +451,7 @@ class Runtime:
                 inst.worker_pid,
                 inst.worker_name,
                 inst.retry_of,
-                ran,
-                duration,
-                queue_wait,
-                overhead,
+                inst.t_body_start is not None,
             )
         )
 
@@ -479,12 +464,18 @@ class Runtime:
         """Point-in-time metrics snapshot (counters, gauges,
         histograms) including backend counters; ``{"enabled": False}``
         shape when the runtime was built without the ``metrics``
-        observability flag."""
-        snap = (
-            self._metrics.snapshot()
-            if self._metrics is not None
-            else obs.empty_snapshot()
-        )
+        observability flag.
+
+        The task series are computed here from the attempt table, taken
+        under ``_state_lock`` like ``stats()`` (so never call this while
+        holding it)."""
+        if self._metrics is None:
+            snap = obs.empty_snapshot()
+        else:
+            with self._state_lock:
+                attempts = list(self._tasks.values())
+                n_restored = self._n_restored
+            snap = self._metrics.snapshot(attempts, n_restored)
         backend_stats = self._backend.stats()
         snap = obs.merge_backend_stats(snap, backend_stats)
         if self._store is not None and not backend_stats.get("store_enabled"):
@@ -1833,14 +1824,16 @@ class Runtime:
             cancelled_any = True
             for fut in cur.futures:
                 fut._cancel()
+            # As in _complete: the terminal event goes out before the
+            # unfinished counts drop, so a drained waiter has seen it.
+            if self.events:
+                cur.t_end = self._now()
+                self._emit(obs.CANCELLED, cur, cur.t_end)
             with self._state_lock:
                 children = self._children.pop(cur.root_id, [])
                 self._unfinished_total -= 1
             getattr(cur, "_owner_scope").task_finished()
             self.graph.set_attr(cur.task_id, state=CANCELLED)
-            if self.events:
-                cur.t_end = self._now()
-                self._emit(obs.CANCELLED, cur, cur.t_end)
             worklist.extend(children)
         if cancelled_any:
             self._broadcast()
@@ -1863,12 +1856,18 @@ class Runtime:
 
     def barrier(self) -> None:
         """Wait until every task submitted from the current scope is
-        done.  Raises :class:`WorkflowAbortedError` if an
-        ``on_failure="FAIL"`` task aborted the workflow meanwhile."""
+        done.  Re-raises the kill if the workflow was killed, and raises
+        :class:`WorkflowAbortedError` if an ``on_failure="FAIL"`` task
+        aborted the workflow meanwhile."""
         scope = _current_scope()
         if scope is None or scope.runtime is not self:
             scope = self.root_scope
         scope.wait_all()
+        # A drained scope does not mean a healthy workflow: a body that
+        # raised KeyboardInterrupt/WorkflowKilledError finished its task
+        # (failed) before the waiter looked.
+        if self._killed is not None:
+            raise self._killed
         if self._aborted is not None:
             raise WorkflowAbortedError(
                 "workflow aborted by an on_failure='FAIL' task"

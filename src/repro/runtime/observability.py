@@ -7,30 +7,32 @@ running -> done/failed/restored`` (plus ``cancelled``, ``ignored`` and
 subscribed the bus is falsy and the engine skips event construction
 entirely, so an un-observed runtime pays only a few monotonic-clock
 reads per task (see ``benchmarks/test_observability_overhead.py``).
+The bus feeds :class:`ProgressReporter` (a live running/done/failed +
+ETA line, ``observability="progress"``), the crash flight recorder
+(:mod:`repro.runtime.flightrec`) and ``Runtime.subscribe`` callbacks.
 
-Built on the bus:
+Metrics are not a bus subscriber.  With ``observability="metrics"``,
+``Runtime.metrics()`` derives every task series from the engine's
+attempt table at snapshot time (:func:`task_series`: tasks by state,
+per-task-name latency, queue wait, dispatch overhead, worker busy
+time), so the series cannot drift from ``Runtime.stats()`` or the
+trace.  :class:`MetricsRegistry` holds the manually instrumented
+series (stream stages) and merges both into one snapshot, exposed as
+``Runtime.metrics()`` (dict), ``Runtime.metrics_text()`` (Prometheus
+exposition) and ``Runtime.save_metrics(path)`` (atomic JSON dump).
 
-* :class:`MetricsRegistry` — counters, gauges and fixed log-bucket time
-  histograms (tasks by state, per-task-name latency, queue wait,
-  scheduler overhead, worker busy time).  Enabled with
-  ``RuntimeConfig(observability="metrics")`` or ``REPRO_METRICS=1`` and
-  exposed as ``Runtime.metrics()`` (snapshot dict),
-  ``Runtime.metrics_text()`` (Prometheus exposition) and
-  ``Runtime.save_metrics(path)`` (atomic JSON dump).
-* :class:`ProgressReporter` — a live running/done/failed + ETA line on
-  stderr (or a callback), enabled with ``observability="progress"``.
-
-Independent of the bus, this module analyses finished
+This module also analyses finished
 :class:`~repro.runtime.tracing.Trace` objects: :func:`critical_path`
 finds the longest duration-weighted dependency chain (what bounds the
 makespan no matter how many workers are added) and
 :func:`summarize_trace` breaks a run into makespan vs. work vs.
-queue-wait vs. runtime overhead.  ``python -m repro trace`` is the CLI
-front-end for both.
+dependency wait vs. queue wait vs. runtime overhead.
+``python -m repro trace`` is the CLI front-end for both.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 from bisect import bisect_left
@@ -39,7 +41,8 @@ import threading
 import time
 from typing import Any, Callable, Iterable
 
-from repro.runtime.tracing import Trace, TaskRecord
+from repro.runtime.model import TERMINAL_STATES
+from repro.runtime.tracing import Trace, TaskRecord, span_of
 
 # ----------------------------------------------------------------------
 # event kinds
@@ -106,11 +109,8 @@ class TaskEvent:
     through ``object.__setattr__``, ~3x slower, and construction sits
     on the scheduler hot path.)
 
-    ``duration``/``queue_wait``/``overhead`` are only populated on
-    terminal events of attempts whose body actually ran
-    (``ran=True``); ``state`` is the attempt's lifecycle state (note a
-    restored attempt's state is ``"done"`` while its kind is
-    ``"restored"``)."""
+    ``state`` is the attempt's lifecycle state (note a restored
+    attempt's state is ``"done"`` while its kind is ``"restored"``)."""
 
     kind: str
     t: float
@@ -124,9 +124,6 @@ class TaskEvent:
     retry_of: int | None = None
     #: True when the task body was actually invoked for this attempt.
     ran: bool = False
-    duration: float | None = None
-    queue_wait: float | None = None
-    overhead: float | None = None
 
 
 class EventBus:
@@ -219,22 +216,77 @@ def _labels_key(labels: dict[str, str]) -> _LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def task_series(
+    attempts: Iterable[Any], n_restored: int = 0
+) -> tuple[dict, dict, dict]:
+    """Every task series, computed from the engine's attempt table.
+
+    *attempts* are :class:`~repro.runtime.model.TaskInstance` objects,
+    one per attempt (retries included); *n_restored* is the number of
+    them replayed from the checkpoint store.  Returns ``(counters,
+    gauges, histograms)`` keyed by ``(name, labels)``:
+
+    * ``repro_tasks_submitted_total`` / ``_enqueued_total`` (attempts,
+      and those that passed through the ready queue),
+      ``repro_tasks_total{state}`` (terminal attempts),
+      ``repro_tasks_restored_total``, ``repro_retries_total``,
+      ``repro_task_failures_total{task}``;
+    * ``repro_tasks_running``: body started, not yet terminal;
+    * per terminal attempt whose body ran: its body time in
+      ``repro_task_duration_seconds{task}`` and
+      ``repro_worker_busy_seconds_total{worker}``, ready-queue wait in
+      ``repro_task_queue_wait_seconds`` and dispatch → body-start
+      overhead in ``repro_task_overhead_seconds``.
+    """
+    counters: dict[tuple[str, _LabelKey], float] = collections.defaultdict(float)
+    hists: dict[tuple[str, _LabelKey], Histogram] = collections.defaultdict(Histogram)
+    queue_wait = Histogram()
+    overhead = Histogram()
+    n = enqueued = retries = running = 0
+    for inst in attempts:
+        n += 1
+        enqueued += inst.t_ready is not None
+        retries += inst.retry_of is not None
+        state = inst.state
+        started = inst.t_body_start
+        if state not in TERMINAL_STATES:
+            running += started is not None
+            continue
+        counters[("repro_tasks_total", (("state", state),))] += 1
+        if state == "failed":
+            counters[("repro_task_failures_total", (("task", inst.name),))] += 1
+        if started is None or inst.t_end is None:
+            continue  # cancelled or restored: the body never ran
+        duration = span_of(started, inst.t_end)
+        hists[("repro_task_duration_seconds", (("task", inst.name),))].observe(duration)
+        worker = inst.worker_name or "main"
+        counters[("repro_worker_busy_seconds_total", (("worker", worker),))] += duration
+        queue_wait.observe(span_of(inst.t_ready, inst.t_dispatch))
+        overhead.observe(span_of(inst.t_dispatch, started))
+    counters[("repro_tasks_submitted_total", ())] = float(n)
+    counters[("repro_tasks_enqueued_total", ())] = float(enqueued)
+    counters[("repro_retries_total", ())] = float(retries)
+    counters[("repro_tasks_restored_total", ())] = float(n_restored)
+    hists[("repro_task_queue_wait_seconds", ())] = queue_wait
+    hists[("repro_task_overhead_seconds", ())] = overhead
+    gauges = {("repro_tasks_running", ()): float(running)}
+    return counters, gauges, hists
+
+
 class MetricsRegistry:
-    """Counters, gauges and histograms populated from the event bus.
+    """Manually instrumented counters, gauges and histograms, and the
+    snapshot that merges them with the task series.
 
     One instance is attached per Runtime when
-    ``RuntimeConfig(observability="metrics")`` is set; its ``handle``
-    method is the bus subscriber.  All series use the ``repro_``
-    namespace and Prometheus naming conventions so
+    ``RuntimeConfig(observability="metrics")`` is set
+    (``Runtime.metrics_registry``); subsystems that instrument
+    themselves — stream stages recording latency histograms and
+    queue-depth gauges — write through :meth:`inc`, :meth:`set_gauge`
+    and :meth:`observe`.  The task series are not stored here:
+    ``Runtime.metrics()`` passes its attempt table to :meth:`snapshot`,
+    which derives them with :func:`task_series`.  All series use the
+    ``repro_`` namespace and Prometheus naming conventions so
     :func:`to_prometheus` output scrapes cleanly.
-
-    Reconciliation invariants (checked by :func:`reconcile` and the
-    stress harness): after a drained run,
-    ``repro_tasks_total{state=S}`` equals ``Runtime.stats()``'s
-    ``by_state[S]`` for every terminal state,
-    ``repro_tasks_submitted_total`` equals the DAG node count,
-    ``repro_retries_total`` equals ``stats()["retries"]`` and
-    ``repro_tasks_restored_total`` equals ``stats()["restored"]``.
     """
 
     def __init__(self, max_workers: int | None = None, clock=time.monotonic):
@@ -245,18 +297,6 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, _LabelKey], float] = {}
         self._gauges: dict[tuple[str, _LabelKey], float] = {}
         self._hists: dict[tuple[str, _LabelKey], Histogram] = {}
-        # Hot-path caches: series keys and histogram references are
-        # interned once so `handle` does plain dict increments instead
-        # of rebuilding key tuples for every event.
-        self._k_submitted = ("repro_tasks_submitted_total", ())
-        self._k_enqueued = ("repro_tasks_enqueued_total", ())
-        self._k_retries = ("repro_retries_total", ())
-        self._k_running = ("repro_tasks_running", ())
-        self._state_keys: dict[str, tuple[str, _LabelKey]] = {}
-        self._busy_keys: dict[str, tuple[str, _LabelKey]] = {}
-        self._dur_hists: dict[str, Histogram] = {}
-        self._qw_hist: Histogram | None = None
-        self._oh_hist: Histogram | None = None
 
     # -- manual instrumentation ----------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels: str) -> None:
@@ -268,11 +308,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[(name, _labels_key(labels))] = value
 
-    def add_gauge(self, name: str, delta: float, **labels: str) -> None:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            self._gauges[key] = self._gauges.get(key, 0.0) + delta
-
     def observe(self, name: str, value: float, **labels: str) -> None:
         key = (name, _labels_key(labels))
         with self._lock:
@@ -281,104 +316,31 @@ class MetricsRegistry:
                 hist = self._hists[key] = Histogram()
             hist.observe(value)
 
-    # -- the bus subscriber --------------------------------------------
-    def handle(self, event: TaskEvent) -> None:
-        # Scheduler hot path: every branch does plain dict increments
-        # on interned keys — no tuple construction, no method calls for
-        # the common kinds.
-        kind = event.kind
-        counters = self._counters
-        with self._lock:
-            if kind == SUBMITTED:
-                key = self._k_submitted
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind == READY:
-                key = self._k_enqueued
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind == RUNNING:
-                key = self._k_running
-                self._gauges[key] = self._gauges.get(key, 0.0) + 1
-            elif kind == RETRY:
-                key = self._k_retries
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind in TERMINAL_KINDS:
-                state = event.state or kind
-                key = self._state_keys.get(state)
-                if key is None:
-                    key = self._state_keys[state] = (
-                        "repro_tasks_total", (("state", state),)
-                    )
-                counters[key] = counters.get(key, 0.0) + 1
-                if kind == RESTORED:
-                    self._bump_counter("repro_tasks_restored_total", ())
-                if state == "failed":
-                    self._bump_counter(
-                        "repro_task_failures_total", (("task", event.name),)
-                    )
-                if event.ran:
-                    key = self._k_running
-                    self._gauges[key] = self._gauges.get(key, 0.0) - 1
-                    duration = event.duration
-                    if duration is not None:
-                        name = event.name
-                        hist = self._dur_hists.get(name)
-                        if hist is None:
-                            hist = self._dur_hists[name] = self._hists.setdefault(
-                                ("repro_task_duration_seconds", (("task", name),)),
-                                Histogram(),
-                            )
-                        hist.observe(duration)
-                        worker = event.worker or "main"
-                        key = self._busy_keys.get(worker)
-                        if key is None:
-                            key = self._busy_keys[worker] = (
-                                "repro_worker_busy_seconds_total",
-                                (("worker", worker),),
-                            )
-                        counters[key] = counters.get(key, 0.0) + duration
-                    if event.queue_wait is not None:
-                        hist = self._qw_hist
-                        if hist is None:
-                            hist = self._qw_hist = self._hists.setdefault(
-                                ("repro_task_queue_wait_seconds", ()), Histogram()
-                            )
-                        hist.observe(event.queue_wait)
-                    if event.overhead is not None:
-                        hist = self._oh_hist
-                        if hist is None:
-                            hist = self._oh_hist = self._hists.setdefault(
-                                ("repro_task_overhead_seconds", ()), Histogram()
-                            )
-                        hist.observe(event.overhead)
-
-    def _bump_counter(self, name: str, labels: _LabelKey, value: float = 1.0) -> None:
-        key = (name, labels)
-        self._counters[key] = self._counters.get(key, 0.0) + value
-
     # -- snapshot -------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-serialisable point-in-time view of every series."""
+    def snapshot(
+        self, attempts: Iterable[Any] | None = None, n_restored: int = 0
+    ) -> dict[str, Any]:
+        """A JSON-serialisable point-in-time view of every series: the
+        manual ones plus, when an attempt table is given, its task
+        series (see :func:`task_series`)."""
+        counters, gauges, hists = (
+            task_series(attempts, n_restored) if attempts is not None else ({}, {}, {})
+        )
         with self._lock:
             uptime = max(self._clock() - self.started_at, 1e-9)
-            counters = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._counters.items())
-            ]
-            gauges = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._gauges.items())
-            ]
-            busy = sum(
-                value
-                for (name, _), value in self._counters.items()
-                if name == "repro_worker_busy_seconds_total"
-            )
-            hists = [
-                {"name": name, "labels": dict(labels), **hist.snapshot()}
-                for (name, labels), hist in sorted(self._hists.items())
-            ]
+            counters.update(self._counters)
+            gauges.update(self._gauges)
+            hist_snaps = {
+                key: hist.snapshot() for key, hist in {**hists, **self._hists}.items()
+            }
+        busy = sum(
+            value
+            for (name, _), value in counters.items()
+            if name == "repro_worker_busy_seconds_total"
+        )
+        gauge_rows = _series_rows(gauges)
         if self.max_workers:
-            gauges.append(
+            gauge_rows.append(
                 {
                     "name": "repro_worker_utilization",
                     "labels": {},
@@ -388,10 +350,20 @@ class MetricsRegistry:
         return {
             "enabled": True,
             "uptime_seconds": uptime,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": hists,
+            "counters": _series_rows(counters),
+            "gauges": gauge_rows,
+            "histograms": [
+                {"name": name, "labels": dict(labels), **snap}
+                for (name, labels), snap in sorted(hist_snaps.items())
+            ],
         }
+
+
+def _series_rows(section: dict[tuple[str, _LabelKey], float]) -> list[dict[str, Any]]:
+    return [
+        {"name": name, "labels": dict(labels), "value": value}
+        for (name, labels), value in sorted(section.items())
+    ]
 
 
 def empty_snapshot() -> dict[str, Any]:
@@ -731,94 +703,6 @@ def parse_prometheus(text: str) -> dict[tuple[str, _LabelKey], float]:
 
 
 # ----------------------------------------------------------------------
-# reconciliation
-# ----------------------------------------------------------------------
-def reconcile(runtime) -> list[str]:
-    """Cross-check a drained runtime's metrics against ``stats()``.
-
-    Returns a list of discrepancy descriptions (empty = consistent).
-    Only meaningful once the runtime is quiesced — mid-flight, events
-    and stats are sampled at different instants.  The stress harness
-    runs this after every clean drain when metrics are enabled."""
-    snapshot = runtime.metrics()
-    if not snapshot.get("enabled"):
-        return ["metrics are not enabled on this runtime"]
-    stats = runtime.stats()
-    problems: list[str] = []
-
-    by_state: dict[str, int] = stats["by_state"]
-    for state, expected in sorted(by_state.items()):
-        got = metric_value(snapshot, "repro_tasks_total", default=0.0, state=state)
-        if got != expected:
-            problems.append(
-                f"repro_tasks_total{{state={state}}} is {got:g}, "
-                f"stats()['by_state'] says {expected}"
-            )
-    metric_states = {
-        series["labels"].get("state")
-        for series in snapshot["counters"]
-        if series["name"] == "repro_tasks_total"
-    }
-    for state in sorted(metric_states - set(by_state)):
-        problems.append(f"metrics count state {state!r} absent from stats()")
-
-    checks = (
-        ("repro_tasks_submitted_total", stats["n_tasks"], "n_tasks"),
-        ("repro_retries_total", stats["retries"], "retries"),
-        ("repro_tasks_restored_total", stats["restored"], "restored"),
-    )
-    for name, expected, label in checks:
-        got = metric_value(snapshot, name, default=0.0)
-        if got != expected:
-            problems.append(f"{name} is {got:g}, stats()[{label!r}] says {expected}")
-
-    running = metric_value(snapshot, "repro_tasks_running", default=0.0)
-    if running:
-        problems.append(f"repro_tasks_running gauge is {running:g} after drain")
-    return problems
-
-
-def reconcile_trace(runtime, trace: Trace | None = None) -> list[str]:
-    """Cross-check metrics attempt counts against the recorded trace
-    (requires ``collect_trace=True``)."""
-    snapshot = runtime.metrics()
-    if not snapshot.get("enabled"):
-        return ["metrics are not enabled on this runtime"]
-    trace = trace if trace is not None else runtime.trace()
-    problems: list[str] = []
-    restored = metric_value(snapshot, "repro_tasks_restored_total", default=0.0)
-    if restored != trace.n_restored:
-        problems.append(
-            f"repro_tasks_restored_total is {restored:g}, trace says {trace.n_restored}"
-        )
-    failed = sum(
-        series["value"]
-        for series in snapshot["counters"]
-        if series["name"] == "repro_task_failures_total"
-    )
-    trace_failed = sum(1 for r in trace if r.status == "failed")
-    if failed != trace_failed:
-        problems.append(
-            f"repro_task_failures_total sums to {failed:g}, "
-            f"trace has {trace_failed} failed attempts"
-        )
-    durations = sum(
-        series["count"]
-        for series in snapshot["histograms"]
-        if series["name"] == "repro_task_duration_seconds"
-    )
-    # every recorded attempt that ran contributes one duration sample;
-    # cancelled attempts never run and are not recorded.
-    ran = sum(1 for r in trace if r.status != "restored")
-    if durations != ran:
-        problems.append(
-            f"duration histogram holds {durations} samples, "
-            f"trace has {ran} executed attempts"
-        )
-    return problems
-
-
-# ----------------------------------------------------------------------
 # live progress
 # ----------------------------------------------------------------------
 class ProgressReporter:
@@ -859,8 +743,8 @@ class ProgressReporter:
             "retries": 0,
         }
 
-    # -- subscriber -----------------------------------------------------
-    def handle(self, event: TaskEvent) -> None:
+    # -- the bus subscriber --------------------------------------------
+    def record(self, event: TaskEvent) -> None:
         kind = event.kind
         with self._lock:
             c = self.counts
@@ -1017,9 +901,14 @@ def critical_path(trace: Trace) -> CriticalPath:
 
 
 def summarize_trace(trace: Trace) -> dict[str, Any]:
-    """Makespan / work / wait / overhead breakdown of a finished trace."""
+    """Makespan / work / wait / overhead breakdown of a finished trace.
+
+    ``dep_wait`` (submit → last dependency done), ``queue_wait`` (ready
+    → dispatch) and ``overhead`` (dispatch → body start) are per-attempt
+    sums of disjoint spans."""
     by_status: dict[str, int] = {}
     by_name: dict[str, dict[str, float]] = {}
+    dep_wait = 0.0
     queue_wait = 0.0
     overhead = 0.0
     for rec in trace:
@@ -1030,6 +919,7 @@ def summarize_trace(trace: Trace) -> dict[str, Any]:
         entry["count"] += 1
         entry["total"] += rec.duration
         entry["max"] = max(entry["max"], rec.duration)
+        dep_wait += rec.dep_wait
         queue_wait += rec.queue_wait
         overhead += rec.overhead
     for entry in by_name.values():
@@ -1044,6 +934,7 @@ def summarize_trace(trace: Trace) -> dict[str, Any]:
         "n_failed_attempts": trace.n_failed_attempts,
         "makespan": makespan,
         "work": work,
+        "dep_wait": dep_wait,
         "queue_wait": queue_wait,
         "overhead": overhead,
         "parallelism": (work / makespan) if makespan > 0 else 0.0,
@@ -1073,6 +964,7 @@ def format_summary(summary: dict[str, Any]) -> str:
         f"makespan       : {_fmt_s(summary['makespan'])}",
         f"work           : {_fmt_s(summary['work'])} "
         f"(parallelism {summary['parallelism']:.2f}x)",
+        f"dep wait       : {_fmt_s(summary['dep_wait'])}",
         f"queue wait     : {_fmt_s(summary['queue_wait'])}",
         f"runtime overhd : {_fmt_s(summary['overhead'])}",
         f"critical path  : {_fmt_s(summary['critical_path'])} "

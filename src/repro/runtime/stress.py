@@ -19,7 +19,10 @@ a task body), or a shutdown race.  A run fails on any of:
   the seed;
 * **structural leaks** — after a clean drain the runtime must be
   quiesced: empty ready queue, zero unfinished, every task terminal
-  (``Runtime.check_invariants(quiesced=True)``).
+  (``Runtime.check_invariants(quiesced=True)``);
+* **lost or duplicate lifecycle events** — after a clean drain every
+  attempt has emitted exactly one terminal event on the bus, and their
+  states tally to ``stats()["by_state"]``.
 
 ``--store`` mixes shared-memory data-plane traffic into every seed:
 ndarray tasks whose blocks travel through the object store (some via
@@ -34,6 +37,7 @@ Run it via ``python -m repro stress`` or ``make stress``.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import random
@@ -56,6 +60,7 @@ from repro.runtime.exceptions import (
     WorkflowAbortedError,
     WorkflowKilledError,
 )
+from repro.runtime.observability import TERMINAL_KINDS
 from repro.runtime.task import task
 
 #: seed % 4 selects the scenario family.
@@ -234,6 +239,35 @@ def run_under_watchdog(fn, timeout: float, label: str) -> dict[str, Any]:
     return {"ok": True, "duration": duration, "value": outcome.get("value")}
 
 
+class _TerminalTally:
+    """Bus subscriber counting terminal events per attempt and by
+    state, checked against ``stats()`` once the runtime has drained."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.per_attempt: collections.Counter[int] = collections.Counter()
+        self.by_state: collections.Counter[str] = collections.Counter()
+
+    def record(self, event) -> None:
+        if event.kind in TERMINAL_KINDS:
+            with self._lock:
+                self.per_attempt[event.task_id] += 1
+                self.by_state[event.state] += 1
+
+    def problems(self, stats: dict) -> list[str]:
+        out = [
+            f"attempt #{tid} emitted {n} terminal events"
+            for tid, n in sorted(self.per_attempt.items())
+            if n != 1
+        ]
+        if dict(self.by_state) != stats["by_state"]:
+            out.append(
+                f"terminal events by state {dict(self.by_state)} != "
+                f"stats()['by_state'] {stats['by_state']}"
+            )
+        return out
+
+
 # ----------------------------------------------------------------------
 # scenario
 # ----------------------------------------------------------------------
@@ -266,6 +300,8 @@ def _run_scenario(
         store_threshold_bytes=4096 if store else 65536,
     )
     rt = Runtime(config=cfg)
+    tally = _TerminalTally()
+    rt.subscribe(tally.record)
     push_runtime(rt)
 
     #: (future, expected value) for every verifiable submission.
@@ -491,12 +527,8 @@ def _run_scenario(
     stats = rt.stats()
     if clean_drain and stats["ready_queue"]:
         problems.append(f"ready queue not drained: {stats['ready_queue']}")
-    if clean_drain and "metrics" in observability:
-        # Metrics must reconcile exactly with stats() on a drained run:
-        # every lifecycle event was emitted exactly once.
-        from repro.runtime.observability import reconcile
-
-        problems.extend(reconcile(rt))
+    if clean_drain:
+        problems.extend(tally.problems(stats))
     if clean_drain and store and backend == "processes":
         # Data-plane byte accounting must agree between the backend
         # counters and the per-task trace records on a clean drain.
@@ -607,12 +639,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend to stress (default threads)",
     )
     parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="enable the metrics registry and reconcile it against "
-        "stats() after every cleanly-drained seed",
-    )
-    parser.add_argument(
         "--store",
         action="store_true",
         help="mix shared-memory data-plane traffic (ndarray tasks, "
@@ -628,7 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,
-        observability="metrics" if args.metrics else "",
         store=args.store,
     )
     failed = [r for r in reports if not r.ok]

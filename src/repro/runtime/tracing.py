@@ -45,28 +45,12 @@ def estimate_nbytes(obj: Any) -> int:
     return 64
 
 
-def queue_wait_of(t_ready: float | None, t_dispatch: float | None) -> float:
-    """Seconds an attempt sat in the ready queue before a worker
-    claimed it (0.0 when the span was not recorded)."""
-    if t_ready is None or t_dispatch is None:
+def span_of(t_from: float | None, t_to: float | None) -> float:
+    """Seconds between two lifecycle stamps of one attempt, clamped at
+    zero (0.0 when either stamp was not recorded)."""
+    if t_from is None or t_to is None:
         return 0.0
-    return max(t_dispatch - t_ready, 0.0)
-
-
-def overhead_of(
-    t_submit: float | None,
-    t_ready: float | None,
-    t_dispatch: float | None,
-    t_start: float,
-) -> float:
-    """Runtime-attributable seconds between submission and body start,
-    excluding ready-queue wait: dependency detection, signature
-    hashing, scheduling, argument resolution and backend dispatch
-    (serialization under the processes backend)."""
-    if t_submit is None:
-        return 0.0
-    span = max(t_start - t_submit, 0.0)
-    return max(span - queue_wait_of(t_ready, t_dispatch), 0.0)
+    return max(t_to - t_from, 0.0)
 
 
 @dataclasses.dataclass
@@ -140,7 +124,8 @@ class TaskRecord:
     pid: int | None = None
     #: Lifecycle span timestamps (same monotonic clock as ``t_start``;
     #: None in traces recorded before the observability layer).
-    #: Submission → ready (deps satisfied) → dispatch (worker claimed).
+    #: Submission → ready (deps satisfied) → dispatch (worker claimed);
+    #: the gaps are ``dep_wait``, ``queue_wait`` and ``overhead``.
     t_submit: float | None = None
     t_ready: float | None = None
     t_dispatch: float | None = None
@@ -168,16 +153,23 @@ class TaskRecord:
         return self.t_end - self.t_start
 
     @property
+    def dep_wait(self) -> float:
+        """Seconds from submission until the last dependency resolved
+        (0.0 when the span was not recorded)."""
+        return span_of(self.t_submit, self.t_ready)
+
+    @property
     def queue_wait(self) -> float:
         """Seconds spent in the ready queue before a worker claimed
         this attempt (0.0 when the span was not recorded)."""
-        return queue_wait_of(self.t_ready, self.t_dispatch)
+        return span_of(self.t_ready, self.t_dispatch)
 
     @property
     def overhead(self) -> float:
-        """Runtime-attributable seconds between submit and body start,
-        excluding queue wait (0.0 when the span was not recorded)."""
-        return overhead_of(self.t_submit, self.t_ready, self.t_dispatch, self.t_start)
+        """Runtime-attributable seconds from dispatch to body start:
+        argument resolution and backend dispatch (serialization under
+        the processes backend).  0.0 when the span was not recorded."""
+        return span_of(self.t_dispatch, self.t_start)
 
     @property
     def ok(self) -> bool:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
 
@@ -195,3 +197,27 @@ def test_taskcall_kwargs_mutation_does_not_leak():
         kw["x"] = 999  # add_kw cannot have started: gate still blocks
         release.set()
         assert f.result(timeout=10) == 2
+
+
+def test_barrier_raises_after_kill_when_scope_already_drained():
+    """A KeyboardInterrupt escaping a body kills the workflow and fails
+    its task.  A waiter that only reaches barrier() once that task has
+    finished finds the scope drained, and must still raise the kill."""
+
+    @task(returns=1)
+    def interrupt():
+        raise KeyboardInterrupt("simulated ctrl-c inside a task body")
+
+    rt = Runtime(executor="threads", max_workers=2)
+    engine.push_runtime(rt)
+    try:
+        interrupt()
+        deadline = time.monotonic() + 10.0
+        while rt.unfinished and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert rt.unfinished == 0
+        with pytest.raises(KeyboardInterrupt):
+            rt.barrier()
+    finally:
+        engine.pop_runtime(rt)
+        rt.shutdown(wait=False)

@@ -4,8 +4,11 @@ analysis, and the engine's lifecycle-event emission."""
 
 from __future__ import annotations
 
+import collections
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -46,17 +49,11 @@ def test_config_validates_observability():
         RuntimeConfig(observability="telemetry")
 
 
-def test_config_env_observability_and_metrics_shorthand():
+def test_config_env_observability():
     cfg = RuntimeConfig.from_env({"REPRO_OBSERVABILITY": "progress"})
     assert cfg.observability == "progress"
-    cfg = RuntimeConfig.from_env({"REPRO_METRICS": "1"})
-    assert obs.parse_flags(cfg.observability) == {"metrics"}
-    cfg = RuntimeConfig.from_env(
-        {"REPRO_OBSERVABILITY": "metrics,progress", "REPRO_METRICS": "0"}
-    )
-    assert obs.parse_flags(cfg.observability) == {"progress"}
-    with pytest.raises(ValueError, match="REPRO_METRICS"):
-        RuntimeConfig.from_env({"REPRO_METRICS": "maybe"})
+    cfg = RuntimeConfig.from_env({"REPRO_OBSERVABILITY": "metrics,progress"})
+    assert obs.parse_flags(cfg.observability) == {"metrics", "progress"}
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +63,29 @@ def _ev(kind="done", **kw):
     defaults = dict(kind=kind, t=0.0, task_id=0, root_id=0, name="t")
     defaults.update(kw)
     return obs.TaskEvent(**defaults)
+
+
+class _TerminalCounter:
+    """Bus subscriber counting terminal events per attempt and by state."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.per_attempt = collections.Counter()
+        self.by_state = collections.Counter()
+
+    def __call__(self, event):
+        if event.kind in obs.TERMINAL_KINDS:
+            with self._lock:
+                self.per_attempt[event.task_id] += 1
+                self.by_state[event.state] += 1
+
+    def assert_one_per_attempt(self, rt):
+        """Every attempt of a drained runtime emitted exactly one
+        terminal event, and their states tally to ``stats()``."""
+        stats = rt.stats()
+        assert set(self.per_attempt.values()) == {1}
+        assert dict(self.by_state) == stats["by_state"]
+        assert len(self.per_attempt) == stats["n_tasks"]
 
 
 def test_event_bus_truthiness_and_fanout():
@@ -176,12 +196,14 @@ def test_registry_manual_series_and_snapshot():
 # Prometheus exposition
 # ----------------------------------------------------------------------
 def test_prometheus_roundtrip():
-    reg = obs.MetricsRegistry(max_workers=4)
-    reg.handle(_ev(obs.SUBMITTED))
-    reg.handle(_ev(obs.RUNNING))
-    reg.handle(_ev(obs.DONE, state="done", ran=True, duration=0.01,
-                   queue_wait=0.001, overhead=0.0005, worker="w-0"))
-    text = obs.to_prometheus(reg.snapshot())
+    @task(returns=1)
+    def t():
+        return 1
+
+    cfg = RuntimeConfig(executor="sequential", observability="metrics")
+    with Runtime(config=cfg) as rt:
+        wait_on(t())
+        text = rt.metrics_text()
     parsed = obs.parse_prometheus(text)
     assert parsed[("repro_tasks_submitted_total", ())] == 1
     assert parsed[("repro_tasks_total", (("state", "done"),))] == 1
@@ -285,9 +307,8 @@ def test_event_sequence_for_one_task():
     ts = [e.t for e in events]
     assert ts == sorted(ts)
     done = by_kind["done"]
-    assert done.ran and done.duration is not None and done.duration >= 0
-    assert done.state == "done"
-    assert done.queue_wait == 0.0  # never queued
+    assert done.ran and done.state == "done"
+    assert not by_kind["submitted"].ran
     assert by_kind["dispatched"].worker is not None
 
 
@@ -317,14 +338,27 @@ def test_metrics_disabled_snapshot_shape():
 
 def test_metrics_reconcile_with_stats_and_trace():
     cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
+    counter = _TerminalCounter()
     with Runtime(config=cfg) as rt:
+        rt.subscribe(counter)
         futs = [_add(i, 1) for i in range(25)]
         futs += [_inc(futs[i]) for i in range(5)]
         wait_on(futs)
         rt.shutdown()
-        assert obs.reconcile(rt) == []
-        assert obs.reconcile_trace(rt) == []
+        counter.assert_one_per_attempt(rt)
         snap = rt.metrics()
+        stats = rt.stats()
+        trace = rt.trace()
+    assert obs.metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"]
+    durations = [
+        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
+    ]
+    assert sum(h["count"] for h in durations) == trace.n_executed
+    busy = sum(
+        c["value"] for c in snap["counters"]
+        if c["name"] == "repro_worker_busy_seconds_total"
+    )
+    assert busy == pytest.approx(trace.total_task_time)
     assert obs.metric_value(snap, "repro_tasks_submitted_total") == 30
     assert obs.metric_value(snap, "repro_tasks_total", state="done") == 30
     assert obs.metric_value(snap, "repro_tasks_running") == 0
@@ -344,10 +378,12 @@ def test_metrics_count_retries_and_failures():
     cfg = RuntimeConfig(
         executor="threads", max_workers=2, observability="metrics", retry_backoff=0.0
     )
+    counter = _TerminalCounter()
     with Runtime(config=cfg) as rt:
+        rt.subscribe(counter)
         assert wait_on(flaky(5)) == 5
         rt.shutdown()
-        assert obs.reconcile(rt) == []
+        counter.assert_one_per_attempt(rt)
         snap = rt.metrics()
     assert obs.metric_value(snap, "repro_retries_total") == 1
     assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
@@ -361,13 +397,15 @@ def test_metrics_count_cancellations():
         raise ValueError("dead")
 
     cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
+    counter = _TerminalCounter()
     with Runtime(config=cfg) as rt:
+        rt.subscribe(counter)
         f = boom()
         g = _inc(f)  # cancelled when boom fails (CANCEL_SUCCESSORS)
         with pytest.raises(Exception):
             wait_on(g)
         rt.shutdown()
-        assert obs.reconcile(rt) == []
+        counter.assert_one_per_attempt(rt)
         snap = rt.metrics()
     assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
     assert obs.metric_value(snap, "repro_tasks_total", state="cancelled") == 1
@@ -381,9 +419,11 @@ def test_metrics_count_restored(tmp_path):
     )
     with Runtime(config=cfg) as rt:
         assert wait_on(_add(3, 4)) == 7
+    counter = _TerminalCounter()
     with Runtime(config=cfg) as rt:
+        rt.subscribe(counter)
         assert wait_on(_add(3, 4)) == 7
-        assert obs.reconcile(rt) == []
+        counter.assert_one_per_attempt(rt)
         snap = rt.metrics()
         assert rt.trace().n_restored == 1
     assert obs.metric_value(snap, "repro_tasks_restored_total") == 1
@@ -415,17 +455,82 @@ def test_trace_records_carry_span_timestamps():
         assert rec.queue_wait >= 0 and rec.overhead >= 0
 
 
+def test_metrics_flag_attaches_no_bus_subscriber():
+    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
+    with Runtime(config=cfg) as rt:
+        assert not rt.events  # metrics-on schedules on the no-event fast path
+        wait_on(_inc(_add(1, 2)))
+        rt.barrier()
+        snap = rt.metrics()
+    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 2
+    assert obs.metric_value(snap, "repro_tasks_enqueued_total") == 2
+    names = {h["name"] for h in snap["histograms"]}
+    assert names == {
+        "repro_task_duration_seconds",
+        "repro_task_queue_wait_seconds",
+        "repro_task_overhead_seconds",
+    }
+    for hist in snap["histograms"]:
+        assert [b for b, _ in hist["buckets"][:-1]] == list(obs.DURATION_BUCKETS)
+
+
+def test_kill_dump_carries_task_series(tmp_path):
+    from repro.runtime.exceptions import WorkflowKilledError
+    from repro.runtime.flightrec import load_dump
+
+    @task(returns=1)
+    def killer():
+        raise KeyboardInterrupt()
+
+    cfg = RuntimeConfig(
+        executor="threads",
+        max_workers=2,
+        observability="metrics",
+        flightrec_dir=str(tmp_path),
+    )
+    with Runtime(config=cfg) as rt:
+        wait_on(_add(1, 2))
+        rt.barrier()
+        with pytest.raises((WorkflowKilledError, KeyboardInterrupt)):
+            wait_on(killer())
+    (dump,) = tmp_path.glob("flightrec-*.json")
+    metrics = load_dump(dump)["metrics"]
+    # taken at the kill, while the killer's body was still on the stack
+    assert obs.metric_value(metrics, "repro_tasks_submitted_total") == 2
+    assert obs.metric_value(metrics, "repro_tasks_running") == 1
+
+
+def test_overhead_excludes_dependency_wait():
+    @task(returns=1)
+    def producer():
+        time.sleep(0.05)
+        return 1
+
+    cfg = RuntimeConfig(executor="threads", max_workers=2)
+    with Runtime(config=cfg) as rt:
+        wait_on(_inc(producer()))
+        rt.barrier()
+        trace = rt.trace()
+    (consumer,) = trace.records(name="_inc")
+    assert consumer.overhead < 0.010
+    assert consumer.dep_wait >= 0.040
+    summary = obs.summarize_trace(trace)
+    assert summary["dep_wait"] >= 0.040
+    assert summary["overhead"] < 0.010 * len(trace)
+    assert "dep wait" in obs.format_summary(summary)
+
+
 # ----------------------------------------------------------------------
 # ProgressReporter
 # ----------------------------------------------------------------------
 def test_progress_reporter_counts_and_stream():
     stream = io.StringIO()
     rep = obs.ProgressReporter(stream=stream, min_interval=0.0)
-    rep.handle(_ev(obs.SUBMITTED))
-    rep.handle(_ev(obs.SUBMITTED))
-    rep.handle(_ev(obs.RUNNING))
-    rep.handle(_ev(obs.DONE, ran=True))
-    rep.handle(_ev(obs.FAILED, state="failed"))
+    rep.record(_ev(obs.SUBMITTED))
+    rep.record(_ev(obs.SUBMITTED))
+    rep.record(_ev(obs.RUNNING))
+    rep.record(_ev(obs.DONE, ran=True))
+    rep.record(_ev(obs.FAILED, state="failed"))
     snap = rep.snapshot()
     assert snap["submitted"] == 2 and snap["done"] == 1 and snap["failed"] == 1
     assert snap["finished"] == 2 and snap["running"] == 0
@@ -438,8 +543,8 @@ def test_progress_reporter_counts_and_stream():
 def test_progress_reporter_callback_mode():
     snaps = []
     rep = obs.ProgressReporter(callback=snaps.append, min_interval=0.0)
-    rep.handle(_ev(obs.SUBMITTED))
-    rep.handle(_ev(obs.RESTORED, state="done"))
+    rep.record(_ev(obs.SUBMITTED))
+    rep.record(_ev(obs.RESTORED, state="done"))
     rep.close()
     assert snaps[-1]["restored"] == 1
     assert snaps[-1]["done"] == 1  # restored counts as finished work
@@ -452,7 +557,7 @@ def test_progress_throttles_renders():
         callback=snaps.append, min_interval=10.0, clock=lambda: next(ticks)
     )
     for _ in range(50):
-        rep.handle(_ev(obs.SUBMITTED))
+        rep.record(_ev(obs.SUBMITTED))
     assert len(snaps) <= 1  # throttled: interval never elapsed
 
 
@@ -574,8 +679,3 @@ def test_summarize_and_format():
     assert "100% of makespan" in cp_text
     assert "#1" in cp_text
 
-
-def test_reconcile_on_disabled_runtime_reports():
-    with Runtime(executor="sequential") as rt:
-        wait_on(_add(1, 1))
-        assert obs.reconcile(rt) == ["metrics are not enabled on this runtime"]

@@ -57,21 +57,25 @@ def test_estimate_nbytes_fallback_constant():
 # ----------------------------------------------------------------------
 def test_queue_wait_and_overhead():
     rec = _rec(0, t_start=1.0, t_end=2.0, t_submit=0.1, t_ready=0.2, t_dispatch=0.7)
+    # submit -> body start is 0.9s: dependency wait, queue wait, and
+    # the dispatch -> body-start overhead, each counted once
+    assert rec.dep_wait == pytest.approx(0.1)
     assert rec.queue_wait == pytest.approx(0.5)
-    # submit -> body start is 0.9s; 0.5s of it was queue wait
-    assert rec.overhead == pytest.approx(0.4)
+    assert rec.overhead == pytest.approx(0.3)
     assert rec.duration == pytest.approx(1.0)
 
 
 def test_span_properties_default_to_zero_without_timestamps():
     rec = _rec(0, t_start=1.0, t_end=2.0)
+    assert rec.dep_wait == 0.0
     assert rec.queue_wait == 0.0
     assert rec.overhead == 0.0
 
 
 def test_span_properties_clamp_negative():
     # A pre-observability trace could carry clock skew; never negative.
-    rec = _rec(0, t_start=0.5, t_end=2.0, t_submit=0.9, t_ready=0.95, t_dispatch=0.4)
+    rec = _rec(0, t_start=0.5, t_end=2.0, t_submit=0.9, t_ready=0.85, t_dispatch=0.6)
+    assert rec.dep_wait == 0.0
     assert rec.queue_wait == 0.0
     assert rec.overhead == 0.0
 
